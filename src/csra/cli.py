@@ -92,11 +92,18 @@ def _load_config(args) -> SystemConfig:
     return cfg.with_(**overrides) if overrides else cfg
 
 
-def _dump_diagnostics(records, directory: Path, prefix: str = "") -> None:
-    directory.mkdir(parents=True, exist_ok=True)
-    for rec in records:
-        harness.dump_recovery_diagnostics(
-            rec, directory / f"{prefix}trial{rec.trial_index:05d}.csv")
+def _diagnostics_dumper(directory: Path | None, per_alpha: bool):
+    """on_records callback writing one solver trace per trial, or None."""
+    if directory is None:
+        return None
+
+    def dump(cfg, records):
+        directory.mkdir(parents=True, exist_ok=True)
+        prefix = f"alpha{cfg.alpha}_" if per_alpha else ""
+        for rec in records:
+            harness.dump_recovery_diagnostics(
+                rec, directory / f"{prefix}trial{rec.trial_index:05d}.csv")
+    return dump
 
 
 def main(argv=None) -> int:
@@ -130,22 +137,16 @@ def _dispatch(args) -> int:
     if args.command == "link-sim":
         spec = harness.SweepSpec("alpha", _grid(args.alphas), trials=cfg.trials)
         out = args.out or Path("link_sim.csv")
-        if args.diagnostics is not None:
-            for alpha in spec.grid:
-                records = harness.run_trials(cfg.with_(alpha=alpha), spec.trials,
-                                             args.threads)
-                _dump_diagnostics(records, args.diagnostics, f"alpha{alpha}_")
-        harness.sweep_alpha(cfg, spec, out_path=out, threads=args.threads)
+        harness.sweep_alpha(cfg, spec, out_path=out, threads=args.threads,
+                            on_records=_diagnostics_dumper(args.diagnostics, True))
         print(f"wrote {out}")
         return 0
 
     if args.command == "roc":
         spec = harness.SweepSpec("xi_thr", _grid(args.xi_grid), trials=cfg.trials)
         out = args.out or Path("roc.csv")
-        if args.diagnostics is not None:
-            records = harness.run_trials(cfg, spec.trials, args.threads)
-            _dump_diagnostics(records, args.diagnostics)
-        harness.sweep_roc(cfg, spec, out_path=out, threads=args.threads)
+        harness.sweep_roc(cfg, spec, out_path=out, threads=args.threads,
+                          on_records=_diagnostics_dumper(args.diagnostics, False))
         print(f"wrote {out}")
         return 0
 

@@ -19,7 +19,7 @@ SOLVERS = ("cosamp", "bpdn")
 FILE_KEYS = (
     "n", "m", "window_mode", "t_cp", "u_max", "k1", "k2", "b_slots",
     "alpha", "snr_db", "modulation", "bits_per_user", "seed", "trials",
-    "sensing_mode",
+    "sensing_mode", "solver", "xi_thr",
 )
 
 # spawn_key tags for the per-scenario / per-trial RNG streams
@@ -54,9 +54,10 @@ class SystemConfig:
     trials: int = 200
     sensing_mode: str = "plain"
 
-    # Knobs outside the scenario-file schema (defaults tied to the seed'd run).
     xi_thr: float = 0.05        # activity decision: ||h_hat_u||^2 > xi_thr
     solver: str = "cosamp"
+
+    # Outside the scenario-file schema.
     include_missed_in_ser: bool = True
 
     def __post_init__(self):
@@ -198,7 +199,7 @@ def slot_plan(cfg: SystemConfig, window: np.ndarray | None = None) -> SlotPlan:
 
 _INT_KEYS = {"n", "m", "t_cp", "u_max", "k1", "k2", "b_slots",
              "bits_per_user", "seed", "trials"}
-_FLOAT_KEYS = {"alpha", "snr_db"}
+_FLOAT_KEYS = {"alpha", "snr_db", "xi_thr"}
 
 
 def read_config(path) -> SystemConfig:

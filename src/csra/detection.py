@@ -4,12 +4,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SlotPlan
+from .config import MODULATIONS, SlotPlan
 
 ERASED = -1   # sentinel bit value for symbols with no usable decision
-
-_CONSTELLATION_SIZE = {"bpsk": 2, "qpsk": 4}
-_BITS_PER_SYMBOL = {"bpsk": 1, "qpsk": 2}
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,7 @@ def equalize_demodulate(y_freq: np.ndarray, h_hat: np.ndarray, plan: SlotPlan,
     erased symbols (all bits ERASED). Returns (bits, n_erased); rows of
     non-detected users stay ERASED throughout.
     """
-    bps = _BITS_PER_SYMBOL[modulation]
+    bps = MODULATIONS[modulation]
     n_sym = plan.symbols_per_user
     t_cp = len(h_hat) // plan.u_max
     bits = np.full((plan.u_max, n_sym * bps), ERASED, dtype=np.int8)
@@ -92,8 +89,8 @@ def tally(truth_active: np.ndarray, detected: np.ndarray, tx_bits: np.ndarray,
     n_md = len(np.setdiff1d(truth, det))
     n_fa = len(np.setdiff1d(det, truth))
 
-    bps = _BITS_PER_SYMBOL[modulation]
-    erasure_rate = 1.0 - 1.0 / _CONSTELLATION_SIZE[modulation]
+    bps = MODULATIONS[modulation]
+    erasure_rate = 1.0 - 1.0 / 2 ** bps
     n_sym = tx_bits.shape[1] // bps
 
     errors = 0.0

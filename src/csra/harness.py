@@ -34,12 +34,12 @@ from .bounds import (FadingModel, BoundInputs, detection_error_bounds,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    variable: str        # "alpha" | "xi_thr" | "snr_db" | "lambda"
+    variable: str        # "alpha" | "xi_thr"
     grid: tuple
     trials: int = 1
 
     def __post_init__(self):
-        if self.variable not in ("alpha", "xi_thr", "snr_db", "lambda"):
+        if self.variable not in ("alpha", "xi_thr"):
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         g = np.asarray(self.grid, dtype=float)
         if g.size == 0:
@@ -192,12 +192,16 @@ THROUGHPUT_HEADER = ["lam", "b_slots", "pr_rate", "rate", "throughput"]
 
 
 def sweep_alpha(cfg: SystemConfig, spec: SweepSpec, out_path=None,
-                threads: int = 1) -> list[list]:
-    """Link-simulation sweep over the pilot power fraction."""
+                threads: int = 1, on_records=None) -> list[list]:
+    """Link-simulation sweep over the pilot power fraction.
+    on_records(cfg_a, records), if given, sees each grid point's records."""
     rows = []
     for alpha in spec.grid:
         cfg_a = cfg.with_(alpha=float(alpha))
-        agg = aggregate(run_trials(cfg_a, spec.trials, threads))
+        records = run_trials(cfg_a, spec.trials, threads)
+        if on_records is not None:
+            on_records(cfg_a, records)
+        agg = aggregate(records)
         rows.append([float(alpha), agg["ser"], agg["p_md"], agg["p_fa"],
                      spec.trials, agg["discarded"], cfg.seed,
                      agg["ser_detected_only"], config_hash(cfg_a)])
@@ -207,10 +211,12 @@ def sweep_alpha(cfg: SystemConfig, spec: SweepSpec, out_path=None,
 
 
 def sweep_roc(cfg: SystemConfig, spec: SweepSpec, out_path=None,
-              threads: int = 1) -> list[list]:
+              threads: int = 1, on_records=None) -> list[list]:
     """One solve per trial, then re-threshold cached energies over the
-    xi grid."""
+    xi grid. on_records(cfg, records), if given, sees the records."""
     records = run_trials(cfg, spec.trials, threads)
+    if on_records is not None:
+        on_records(cfg, records)
     points = roc_sweep(records, spec.grid)
     h = config_hash(cfg)
     rows = [[xi, p_md, p_fa, spec.trials, cfg.alpha, cfg.seed, h]
@@ -305,12 +311,20 @@ def _check_fft_convolution() -> CheckResult:
                        f"max deviation {worst:.3e}")
 
 
+def plain_dense_reference(op: SensingOperator) -> np.ndarray:
+    """Plain-mode matrix from its definition, independent of the operator's
+    own block: column (u, t) = fft(e_t, n)[window] * window_values[u]."""
+    spectra = np.fft.fft(np.eye(op.t_cp), op.n, axis=1)[:, op.window]
+    cols = op.pilots.window_values[:, None, :] * spectra[None, :, :]
+    return cols.reshape(op.u_max * op.t_cp, op.m).T
+
+
 def _check_operator_dense() -> CheckResult:
     rng = np.random.default_rng(102)
     worst = 0.0
     for mode in ("plain", "randomized"):
         op = build_operator(_toy_config(sensing_mode=mode))
-        dense = op.materialize()
+        dense = plain_dense_reference(op) if op.xi is None else op.materialize()
         for _ in range(10):
             h = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
             delta = np.abs(op.apply(h) - dense @ h)

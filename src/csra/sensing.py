@@ -2,10 +2,13 @@
 
 The operator A acts on h in C^{u_max * t_cp} (compound index u*t_cp + t) and
 returns the m control-window samples of the superimposed pilot responses.
-In plain mode its (f, (u,t)) entry is p_hat_u(f) * exp(-2i*pi*f*t/n); in
-randomized mode a fixed pointwise time-domain multiplier xi is applied
-before the FFT. Application is matrix-free via length-n FFTs batched over
-users; a dense materialization is kept under a column cap as an oracle.
+In plain mode its (f, (u,t)) entry is p_hat_u(f) * exp(-2i*pi*f*t/n), so
+A h = sum_u P_u * (F @ h_u) with F the fixed m x t_cp partial-DFT block over
+the window rows and the delay columns: apply and adjoint are two small
+GEMMs and columns() is a gather. In randomized mode a fixed pointwise
+time-domain multiplier xi is applied before the FFT, so application runs
+through length-n FFTs batched over users. A dense materialization is kept
+under a column cap as an oracle.
 """
 
 import math
@@ -27,6 +30,15 @@ def randomized_multiplier(cfg: SystemConfig) -> np.ndarray | None:
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=cfg.n))
 
 
+def _partial_dft(window: np.ndarray, t_cp: int, n: int) -> np.ndarray:
+    """m x t_cp block F[f, t] = exp(-2i*pi*f*t/n) over window rows f and
+    delays t < t_cp. The product f*t is reduced mod n in integers before
+    scaling, so the phase argument stays below 2*pi in magnitude and keeps
+    full precision at LTE size."""
+    ft = np.outer(np.asarray(window, dtype=np.int64), np.arange(t_cp)) % n
+    return np.exp(-2j * np.pi * ft / n)
+
+
 class SensingOperator:
     """Matrix-free compound measurement operator with exact adjoint."""
 
@@ -44,6 +56,8 @@ class SensingOperator:
             xi = None
         self.xi = xi
         self._pilot_time = None   # lazy, randomized-mode columns only
+        # plain mode only: the block both GEMMs and columns() share
+        self._dft = _partial_dft(self.window, t_cp, self.n) if xi is None else None
 
     @property
     def shape(self):
@@ -57,13 +71,13 @@ class SensingOperator:
         return h
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        """A @ h, one length-n FFT per user (batched)."""
+        """A @ h: a GEMM with the partial-DFT block (plain), or one length-n
+        FFT per user (randomized)."""
         h = self._check_h(h)
         taps = h.reshape(self.u_max, self.t_cp)
-        spectra = np.fft.fft(taps, n=self.n, axis=1)   # sum_t h(t) e^{-2i pi f t/n}
         if self.xi is None:
-            return np.einsum("uf,uf->f", spectra[:, self.window],
-                             self.pilots.window_values)
+            return np.sum(self.pilots.window_values * (taps @ self._dft.T), axis=0)
+        spectra = np.fft.fft(taps, n=self.n, axis=1)   # sum_t h(t) e^{-2i pi f t/n}
         mixed = np.sum(spectra * (np.sqrt(self.n) * self.pilots.freq), axis=0)
         s_time = np.fft.ifft(mixed)
         return np.fft.fft(self.xi * s_time)[self.window] / np.sqrt(self.n)
@@ -74,16 +88,16 @@ class SensingOperator:
         if y.shape != (self.m,):
             raise ValueError(f"expected window vector of length {self.m}, "
                              f"got shape {y.shape}")
+        if self.xi is None:
+            # (conj(P) * y) @ conj(F), conjugating the small product instead
+            return np.conj((self.pilots.window_values * np.conj(y))
+                           @ self._dft).reshape(-1)
         w = np.zeros(self.n, dtype=complex)
         w[self.window] = y
-        if self.xi is None:
-            per_user = np.conj(self.pilots.freq) * w
-            out = self.n * np.fft.ifft(per_user, axis=1)[:, :self.t_cp]
-        else:
-            v_time = np.conj(self.xi) * (np.sqrt(self.n) * np.fft.ifft(w))
-            v_freq = np.fft.fft(v_time)
-            per_user = np.conj(self.pilots.freq) * v_freq
-            out = np.sqrt(self.n) * np.fft.ifft(per_user, axis=1)[:, :self.t_cp]
+        v_time = np.conj(self.xi) * (np.sqrt(self.n) * np.fft.ifft(w))
+        v_freq = np.fft.fft(v_time)
+        per_user = np.conj(self.pilots.freq) * v_freq
+        out = np.sqrt(self.n) * np.fft.ifft(per_user, axis=1)[:, :self.t_cp]
         return out.reshape(-1)
 
     def columns(self, support) -> np.ndarray:
@@ -93,8 +107,7 @@ class SensingOperator:
             return np.zeros((self.m, 0), dtype=complex)
         users, delays = np.divmod(support, self.t_cp)
         if self.xi is None:
-            phase = np.exp(-2j * np.pi * np.outer(self.window, delays) / self.n)
-            return self.pilots.window_values[users].T * phase
+            return self.pilots.window_values[users].T * self._dft[:, delays]
         if self._pilot_time is None:
             self._pilot_time = self.pilots.time()
         shifted = np.empty((support.size, self.n), dtype=complex)

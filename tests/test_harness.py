@@ -47,6 +47,15 @@ class TestConfig:
         write_config(cfg, path)
         assert read_config(path) == cfg
 
+    @pytest.mark.parametrize("profile", [desk_profile, lte_profile])
+    def test_profile_file_roundtrip(self, tmp_path, profile):
+        cfg = profile()
+        path = tmp_path / "scenario.cfg"
+        write_config(cfg, path)
+        back = read_config(path)
+        assert back == cfg
+        assert config_hash(back) == config_hash(cfg)
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("n = 64\nwat = 3\n")
@@ -185,8 +194,9 @@ class TestCsvEmission:
             SweepSpec("alpha", ())
         with pytest.raises(ValueError):
             SweepSpec("alpha", (0.5, 0.2))
-        with pytest.raises(ValueError):
-            SweepSpec("nonsense", (0.1,))
+        for variable in ("nonsense", "snr_db", "lambda"):
+            with pytest.raises(ValueError):
+                SweepSpec(variable, (0.1,))
 
 
 class SignFlippedOp:
@@ -264,6 +274,30 @@ class TestCli:
         traces = sorted(diag.glob("trial*.csv"))
         assert len(traces) == 2
         assert traces[0].read_text().splitlines()[0] == "iteration,residual_norm,sparsity"
+
+    @pytest.mark.parametrize("command, grid", [("link-sim", ["--alphas", "0.4,0.9"]),
+                                               ("roc", ["--xi-grid", "0.01,0.5"])])
+    def test_diagnostics_solve_each_trial_once(self, tmp_path, monkeypatch,
+                                               command, grid):
+        cfg_path = tmp_path / "scenario.cfg"
+        write_config(toy_cfg(trials=2), cfg_path)
+        calls = []
+
+        def counting_run_trial(*args, **kwargs):
+            calls.append(args[1])
+            return run_trial(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", counting_run_trial)
+        plain, traced = tmp_path / "plain.csv", tmp_path / "traced.csv"
+        base = [command, "--config", str(cfg_path), *grid]
+        assert cli.main(base + ["--out", str(plain)]) == 0
+        solves = len(calls)
+        assert cli.main(base + ["--out", str(traced),
+                                "--diagnostics", str(tmp_path / "diag")]) == 0
+        assert len(calls) == 2 * solves
+        assert solves == 2 * (2 if command == "link-sim" else 1)
+        assert traced.read_bytes() == plain.read_bytes()
+        assert len(list((tmp_path / "diag").glob("*trial*.csv"))) == solves
 
     def test_bounds_command(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"

@@ -5,9 +5,11 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csra.config import SystemConfig, control_window
-from csra.model import build_pilot_book
+from csra.harness import plain_dense_reference
+from csra.model import PilotBook, build_pilot_book
 from csra.sensing import (SensingOperator, DenseOperator, build_operator,
                           randomized_multiplier, restricted_lstsq,
                           rip_constant_exact, rip_sample_complexity,
@@ -47,7 +49,10 @@ class TestApplyAdjoint:
 
     def test_matrix_free_matches_dense(self, toy_op):
         rng = np.random.default_rng(11)
-        dense = toy_op.materialize()
+        # plain mode: the reference comes from the definition, not the
+        # operator's own partial-DFT block
+        dense = (plain_dense_reference(toy_op) if toy_op.xi is None
+                 else toy_op.materialize())
         for _ in range(10):
             h = random_vec(rng, toy_op.shape[1])
             ref = dense @ h
@@ -89,6 +94,61 @@ class TestApplyAdjoint:
         trivial = SensingOperator(pilots, cfg.t_cp, xi=np.ones(cfg.n, dtype=complex))
         h = random_vec(np.random.default_rng(13), plain.shape[1])
         assert np.array_equal(plain.apply(h), trivial.apply(h))
+
+
+@st.composite
+def plain_operators(draw):
+    """Small plain-mode operators: contiguous or random windows, any t_cp in
+    [1, n], alpha in [0, 1] with 0 drawn explicitly."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, n))
+    if draw(st.booleans()):
+        start = draw(st.integers(0, n - m))
+        window = np.arange(start, start + m)
+    else:
+        window = np.sort(draw(st.permutations(range(n)))[:m])
+    t_cp = draw(st.integers(1, n))
+    u_max = draw(st.integers(1, 4))
+    alpha = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = np.sqrt(n * alpha / m) * np.exp(
+        2j * np.pi * rng.uniform(size=(u_max, m)))
+    freq = np.zeros((u_max, n), dtype=complex)
+    freq[:, window] = values
+    op = SensingOperator(PilotBook(freq=freq, window=window,
+                                   window_values=values, alpha=alpha), t_cp)
+    return op, rng
+
+
+def assert_close(got, ref):
+    scale = max(1.0, float(np.max(np.abs(ref), initial=0.0)))
+    assert np.max(np.abs(got - ref), initial=0.0) / scale <= 1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain_operators())
+def test_plain_gemm_matches_fft_formulas(case):
+    op, rng = case
+    n, t_cp, win, pilots = op.n, op.t_cp, op.window, op.pilots
+    h = random_vec(rng, op.shape[1])
+    y = random_vec(rng, op.shape[0])
+    # the length-n FFT formulas the partial-DFT GEMMs replace
+    spectra = np.fft.fft(h.reshape(op.u_max, t_cp), n=n, axis=1)
+    assert_close(op.apply(h), np.einsum("uf,uf->f", spectra[:, win],
+                                        pilots.window_values))
+    w = np.zeros(n, dtype=complex)
+    w[win] = y
+    adj = n * np.fft.ifft(np.conj(pilots.freq) * w, axis=1)[:, :t_cp]
+    assert_close(op.adjoint(y), adj.reshape(-1))
+    support = rng.choice(op.shape[1], size=min(op.shape[1], 5), replace=False)
+    users, delays = np.divmod(support, t_cp)
+    taps = np.zeros((support.size, n))
+    taps[np.arange(support.size), delays] = 1.0
+    cols = np.fft.fft(taps, axis=1)[:, win] * pilots.window_values[users]
+    assert_close(op.columns(support), cols.T)
+    lhs = np.vdot(y, op.apply(h))
+    rhs = np.vdot(op.adjoint(y), h)
+    assert abs(lhs - rhs) / max(1.0, abs(lhs)) <= 1e-10
 
 
 class TestMaterialize:
