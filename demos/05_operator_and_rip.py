@@ -6,7 +6,7 @@ sample-complexity rule at full LTE-like scale.
 import numpy as np
 
 from csra.config import SystemConfig
-from csra.harness import plain_dense_reference
+from csra.harness import dense_reference
 from csra.sensing import (build_operator, rip_constant_exact,
                           rip_sample_complexity, export_dense_csv)
 
@@ -14,7 +14,7 @@ cfg = SystemConfig(n=1024, m=96, window_mode="random", t_cp=8, u_max=3, k1=1,
                    k2=2, b_slots=3, alpha=0.5, snr_db=20.0, modulation="bpsk",
                    bits_per_user=16, seed=11, sensing_mode="plain")
 op = build_operator(cfg)
-dense = plain_dense_reference(op)   # from the definition, not op's own block
+dense = dense_reference(op)   # from the definition, not op's own blocks
 print(f"operator: {op.shape[0]} window samples x {op.shape[1]} compound taps")
 
 rng = np.random.default_rng(0)

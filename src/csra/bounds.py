@@ -14,11 +14,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy import integrate, stats
 
-from .config import SystemConfig, control_window, slot_plan, trial_rng
+from .config import SystemConfig, slot_plan, trial_rng
 from .detection import detect_active
 from .model import build_pilot_book, draw_activity, draw_channels, draw_data, transmit_receive
 from .recovery import bpdn, cosamp
-from .sensing import build_operator, randomized_multiplier
+from .sensing import build_operator
 
 RATE_UNITS = "nats"
 DELTA_MAX = math.sqrt(2.0) - 1.0
@@ -363,11 +363,9 @@ def simulated_ergodic_rate(cfg: SystemConfig, trials: int, delta_2k: float,
     if error_budget not in ("certificate", "actual"):
         raise ValueError("error_budget must be 'certificate' or 'actual'")
 
-    window = control_window(cfg)
-    pilots = build_pilot_book(cfg, window=window)
-    plan = slot_plan(cfg, window)
-    xi_mult = randomized_multiplier(cfg)
-    op = build_operator(cfg, pilots=pilots, window=window, xi=xi_mult)
+    pilots = build_pilot_book(cfg)
+    op = build_operator(cfg, pilots)
+    plan = slot_plan(cfg, pilots.window)
     c1 = bpdn_stability_constant(delta_2k)
     q_cert = cfg.sigma2 * c1 ** 2 * cfg.m / (cfg.n * cfg.alpha) if cfg.alpha > 0 else math.inf
 
@@ -380,7 +378,7 @@ def simulated_ergodic_rate(cfg: SystemConfig, trials: int, delta_2k: float,
         channels = draw_channels(cfg, activity, rng)
         data = draw_data(cfg, activity, rng)
         frame = transmit_receive(cfg, pilots, data, channels, rng,
-                                 window=window, plan=plan, xi=xi_mult)
+                                 plan=plan, xi=op.xi)
         if perfect_csi:
             h_hat = channels.compound
             detected = activity.active

@@ -80,11 +80,6 @@ class SystemConfig:
     def slot_size(self) -> int:
         return (self.n - self.m) // self.b_slots
 
-    @property
-    def compound_dim(self) -> int:
-        """Length of the stacked channel vector (u_max * t_cp)."""
-        return self.u_max * self.t_cp
-
     def validate(self):
         c = self
         checks = [

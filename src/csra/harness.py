@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (SystemConfig, SlotPlan, config_hash, control_window,
-                     slot_plan, trial_rng)
-from .model import (PilotBook, build_pilot_book, draw_activity, draw_channels,
+from .config import SystemConfig, SlotPlan, config_hash, slot_plan, trial_rng
+from .model import (build_pilot_book, draw_activity, draw_channels,
                     draw_data, transmit_receive, circular_convolve)
 from .sensing import (SensingOperator, DenseOperator, build_operator,
-                      randomized_multiplier, rip_constant_exact)
+                      rip_constant_exact)
 from .recovery import cosamp, bpdn, debias, BpdnConfig
 from .detection import detect_active, equalize_demodulate, tally, roc_sweep, TrialMetrics
 from .bounds import (FadingModel, BoundInputs, detection_error_bounds,
@@ -70,22 +69,16 @@ class Scenario:
     """Scenario-level state shared by all trials of one config."""
 
     cfg: SystemConfig
-    window: np.ndarray
     plan: SlotPlan
-    pilots: PilotBook
-    xi: np.ndarray | None
-    op: SensingOperator
+    op: SensingOperator       # holds the window, pilots and multiplier
     eps: float
 
 
 def make_scenario(cfg: SystemConfig) -> Scenario:
-    window = control_window(cfg)
-    plan = slot_plan(cfg, window)
-    pilots = build_pilot_book(cfg, window=window)
-    xi = randomized_multiplier(cfg)
-    op = build_operator(cfg, pilots=pilots, window=window, xi=xi)
-    return Scenario(cfg=cfg, window=window, plan=plan, pilots=pilots, xi=xi,
-                    op=op, eps=noise_ball_radius(cfg))
+    pilots = build_pilot_book(cfg)
+    op = build_operator(cfg, pilots)
+    return Scenario(cfg=cfg, plan=slot_plan(cfg, pilots.window), op=op,
+                    eps=noise_ball_radius(cfg))
 
 
 def run_trial(cfg: SystemConfig, trial_index: int,
@@ -101,14 +94,14 @@ def run_trial(cfg: SystemConfig, trial_index: int,
     activity = draw_activity(cfg, rng)
     channels = draw_channels(cfg, activity, rng)
     data = draw_data(cfg, activity, rng)
-    frame = transmit_receive(cfg, scenario.pilots, data, channels, rng,
-                             window=scenario.window, plan=scenario.plan,
-                             xi=scenario.xi)
+    op = scenario.op
+    frame = transmit_receive(cfg, op.pilots, data, channels, rng,
+                             plan=scenario.plan, xi=op.xi)
     discarded = False
     if cfg.solver == "cosamp":
-        rec = cosamp(scenario.op, frame.y_window, k=max(cfg.k1 * cfg.k2, 1))
+        rec = cosamp(op, frame.y_window, k=max(cfg.k1 * cfg.k2, 1))
     else:
-        rec = bpdn(scenario.op, frame.y_window, scenario.eps)
+        rec = bpdn(op, frame.y_window, scenario.eps)
         discarded = frame.noise_window_norm > scenario.eps
     detected = detect_active(rec.user_energies, cfg.xi_thr)
     rx_bits, n_erased = equalize_demodulate(frame.y_freq, rec.h_hat,
@@ -311,12 +304,17 @@ def _check_fft_convolution() -> CheckResult:
                        f"max deviation {worst:.3e}")
 
 
-def plain_dense_reference(op: SensingOperator) -> np.ndarray:
-    """Plain-mode matrix from its definition, independent of the operator's
-    own block: column (u, t) = fft(e_t, n)[window] * window_values[u]."""
-    spectra = np.fft.fft(np.eye(op.t_cp), op.n, axis=1)[:, op.window]
-    cols = op.pilots.window_values[:, None, :] * spectra[None, :, :]
-    return cols.reshape(op.u_max * op.t_cp, op.m).T
+def dense_reference(op: SensingOperator) -> np.ndarray:
+    """The operator's matrix from its definition through full-band FFTs,
+    independent of its own blocks: column (u, t) = fft(xi * ifft(S))[window]
+    with S the n-point spectrum window_values[u] * fft(e_t, n) on the window
+    and zero elsewhere (xi = 1 in plain mode)."""
+    delay_spectra = np.fft.fft(np.eye(op.t_cp), op.n, axis=1)[:, op.window]
+    spectra = np.zeros((op.u_max, op.t_cp, op.n), dtype=complex)
+    spectra[:, :, op.window] = op.pilots.window_values[:, None, :] * delay_spectra
+    if op.xi is not None:
+        spectra = np.fft.fft(op.xi * np.fft.ifft(spectra, axis=2), axis=2)
+    return spectra[:, :, op.window].reshape(op.u_max * op.t_cp, op.m).T
 
 
 def _check_operator_dense() -> CheckResult:
@@ -324,7 +322,7 @@ def _check_operator_dense() -> CheckResult:
     worst = 0.0
     for mode in ("plain", "randomized"):
         op = build_operator(_toy_config(sensing_mode=mode))
-        dense = plain_dense_reference(op) if op.xi is None else op.materialize()
+        dense = dense_reference(op)
         for _ in range(10):
             h = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
             delta = np.abs(op.apply(h) - dense @ h)

@@ -32,28 +32,22 @@ def unitary_ifft(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PilotBook:
-    """Per-user frequency-domain pilots, supported on the control window.
+    """Per-user frequency-domain pilots p_hat_u, supported on the control
+    window and stored only there: p_hat_u(window[j]) = window_values[u, j],
+    zero elsewhere in the n-point band.
 
     Window entries are unit-modulus random phases scaled by a common factor
     so that (1/n)*||p_u||^2 = alpha exactly.
     """
 
-    freq: np.ndarray          # (u_max, n), zero outside the window
+    n: int
     window: np.ndarray        # (m,)
-    window_values: np.ndarray  # (u_max, m) == freq[:, window]
+    window_values: np.ndarray  # (u_max, m)
     alpha: float
 
     @property
     def u_max(self) -> int:
-        return self.freq.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.freq.shape[1]
-
-    def time(self) -> np.ndarray:
-        """Time-domain pilots p_u = W* p_hat_u, shape (u_max, n)."""
-        return np.asarray(unitary_ifft(self.freq))
+        return self.window_values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -66,11 +60,6 @@ class ActivityPattern:
     @property
     def k2(self) -> int:
         return len(self.active)
-
-    def mask(self) -> np.ndarray:
-        m = np.zeros(self.u_max, dtype=bool)
-        m[self.active] = True
-        return m
 
 
 @dataclass(frozen=True)
@@ -126,23 +115,16 @@ class FrameSignals:
 # Generation
 # ---------------------------------------------------------------------------
 
-def build_pilot_book(cfg: SystemConfig, rng: np.random.Generator | None = None,
-                     window: np.ndarray | None = None) -> PilotBook:
+def build_pilot_book(cfg: SystemConfig) -> PilotBook:
     """Random-phase pilots on the control window, deterministic per seed."""
-    if rng is None:
-        rng = scenario_rng(cfg, PILOT_STREAM)
-    if window is None:
-        window = control_window(cfg)
+    rng = scenario_rng(cfg, PILOT_STREAM)
     if cfg.alpha == 0.0 and cfg.k2 > 0:
         warnings.warn("alpha = 0 with active users: pilots are zero, so "
                       "activity detection is impossible", stacklevel=2)
     amp = np.sqrt(cfg.n * cfg.alpha / cfg.m)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.u_max, cfg.m))
-    win_values = amp * np.exp(1j * phases)
-    freq = np.zeros((cfg.u_max, cfg.n), dtype=complex)
-    freq[:, window] = win_values
-    return PilotBook(freq=freq, window=np.asarray(window),
-                     window_values=win_values, alpha=cfg.alpha)
+    return PilotBook(n=cfg.n, window=control_window(cfg),
+                     window_values=amp * np.exp(1j * phases), alpha=cfg.alpha)
 
 
 def draw_activity(cfg: SystemConfig, rng: np.random.Generator) -> ActivityPattern:
@@ -213,13 +195,13 @@ def extract_window(y_freq: np.ndarray, window: np.ndarray,
 
 def transmit_receive(cfg: SystemConfig, pilots: PilotBook, data: UserData,
                      channels: ChannelProfile, rng: np.random.Generator,
-                     window: np.ndarray | None = None,
                      plan: SlotPlan | None = None,
                      xi: np.ndarray | None = None) -> FrameSignals:
     """Superimpose all active users through their cyclic channels, add noise,
-    and extract the control-window observation."""
-    if window is None:
-        window = pilots.window
+    and extract the control-window observation. Each user's pilot (on the
+    window) and payload (on its slot) occupy disjoint subcarriers, so each
+    part is added where it lives."""
+    window = pilots.window
     if plan is None:
         plan = slot_plan(cfg, window)
 
@@ -230,11 +212,11 @@ def transmit_receive(cfg: SystemConfig, pilots: PilotBook, data: UserData,
     y_clean = np.zeros(cfg.n, dtype=complex)
     for u in active:
         g = channels.freq_gains(u, cfg.n)          # sqrt(n) h_hat_u
-        x_freq = np.zeros(cfg.n, dtype=complex)
+        subs = plan.user_subcarriers(u)
         scaled = data_amp * data.symbols[u]
-        x_freq[plan.user_subcarriers(u)] = scaled
         tx_symbols[u] = scaled
-        y_clean += g * (pilots.freq[u] + x_freq)
+        y_clean[window] += g[window] * pilots.window_values[u]
+        y_clean[subs] += g[subs] * scaled
 
     noise = np.sqrt(cfg.sigma2 / 2.0) * (rng.standard_normal(cfg.n)
                                          + 1j * rng.standard_normal(cfg.n))

@@ -5,10 +5,11 @@ returns the m control-window samples of the superimposed pilot responses.
 In plain mode its (f, (u,t)) entry is p_hat_u(f) * exp(-2i*pi*f*t/n), so
 A h = sum_u P_u * (F @ h_u) with F the fixed m x t_cp partial-DFT block over
 the window rows and the delay columns: apply and adjoint are two small
-GEMMs and columns() is a gather. In randomized mode a fixed pointwise
-time-domain multiplier xi is applied before the FFT, so application runs
-through length-n FFTs batched over users. A dense materialization is kept
-under a column cap as an oracle.
+GEMMs and columns() is a gather. In randomized mode the receiver applies a
+fixed pointwise time-domain multiplier xi before the FFT. The pilots live
+on the window, so that operator is C @ A_plain with C the m x m window
+mixer C[f, g] = fft(xi)[(f - g) mod n] / n, one more GEMM per call. A dense
+materialization is kept under a column cap as an oracle.
 """
 
 import math
@@ -17,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .config import SystemConfig, control_window, scenario_rng, MULTIPLIER_STREAM
+from .config import SystemConfig, scenario_rng, MULTIPLIER_STREAM
 from .model import PilotBook, build_pilot_book
 
 
@@ -39,6 +40,13 @@ def _partial_dft(window: np.ndarray, t_cp: int, n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * ft / n)
 
 
+def _window_mixer(window: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
+    """m x m block C[f, g] = fft(xi)[(f - g) mod n] / n over window rows and
+    columns: P_B W M_xi W* restricted to spectra supported on the window."""
+    w = np.asarray(window, dtype=np.int64)
+    return np.fft.fft(xi)[(w[:, None] - w[None, :]) % n] / n
+
+
 class SensingOperator:
     """Matrix-free compound measurement operator with exact adjoint."""
 
@@ -55,9 +63,9 @@ class SensingOperator:
         if xi is not None and np.all(xi == 1):
             xi = None
         self.xi = xi
-        self._pilot_time = None   # lazy, randomized-mode columns only
-        # plain mode only: the block both GEMMs and columns() share
-        self._dft = _partial_dft(self.window, t_cp, self.n) if xi is None else None
+        # the block both GEMMs and columns() share, and the randomized mixer
+        self._dft = _partial_dft(self.window, t_cp, self.n)
+        self._mix = None if xi is None else _window_mixer(self.window, xi, self.n)
 
     @property
     def shape(self):
@@ -70,17 +78,16 @@ class SensingOperator:
                              f"{self.u_max * self.t_cp}, got shape {h.shape}")
         return h
 
+    def _mixed(self, v: np.ndarray) -> np.ndarray:
+        return v if self._mix is None else self._mix @ v
+
     def apply(self, h: np.ndarray) -> np.ndarray:
-        """A @ h: a GEMM with the partial-DFT block (plain), or one length-n
-        FFT per user (randomized)."""
+        """A @ h: a GEMM with the partial-DFT block, then the window mixer
+        (randomized)."""
         h = self._check_h(h)
         taps = h.reshape(self.u_max, self.t_cp)
-        if self.xi is None:
-            return np.sum(self.pilots.window_values * (taps @ self._dft.T), axis=0)
-        spectra = np.fft.fft(taps, n=self.n, axis=1)   # sum_t h(t) e^{-2i pi f t/n}
-        mixed = np.sum(spectra * (np.sqrt(self.n) * self.pilots.freq), axis=0)
-        s_time = np.fft.ifft(mixed)
-        return np.fft.fft(self.xi * s_time)[self.window] / np.sqrt(self.n)
+        return self._mixed(np.sum(self.pilots.window_values * (taps @ self._dft.T),
+                                  axis=0))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A* @ y; exact adjoint of apply."""
@@ -88,17 +95,11 @@ class SensingOperator:
         if y.shape != (self.m,):
             raise ValueError(f"expected window vector of length {self.m}, "
                              f"got shape {y.shape}")
-        if self.xi is None:
-            # (conj(P) * y) @ conj(F), conjugating the small product instead
-            return np.conj((self.pilots.window_values * np.conj(y))
-                           @ self._dft).reshape(-1)
-        w = np.zeros(self.n, dtype=complex)
-        w[self.window] = y
-        v_time = np.conj(self.xi) * (np.sqrt(self.n) * np.fft.ifft(w))
-        v_freq = np.fft.fft(v_time)
-        per_user = np.conj(self.pilots.freq) * v_freq
-        out = np.sqrt(self.n) * np.fft.ifft(per_user, axis=1)[:, :self.t_cp]
-        return out.reshape(-1)
+        if self._mix is not None:
+            y = np.conj(np.conj(y) @ self._mix)     # C^H y
+        # (conj(P) * y) @ conj(F), conjugating the small product instead
+        return np.conj((self.pilots.window_values * np.conj(y))
+                       @ self._dft).reshape(-1)
 
     def columns(self, support) -> np.ndarray:
         """Dense m x |support| submatrix for the given compound indices."""
@@ -106,15 +107,7 @@ class SensingOperator:
         if support.size == 0:
             return np.zeros((self.m, 0), dtype=complex)
         users, delays = np.divmod(support, self.t_cp)
-        if self.xi is None:
-            return self.pilots.window_values[users].T * self._dft[:, delays]
-        if self._pilot_time is None:
-            self._pilot_time = self.pilots.time()
-        shifted = np.empty((support.size, self.n), dtype=complex)
-        for i, (u, t) in enumerate(zip(users, delays)):
-            shifted[i] = np.roll(self._pilot_time[u], t)
-        specs = np.fft.fft(self.xi * shifted, axis=1)[:, self.window]
-        return specs.T / np.sqrt(self.n)
+        return self._mixed(self.pilots.window_values[users].T * self._dft[:, delays])
 
     def materialize(self) -> np.ndarray:
         """Full dense matrix; toy-scale oracle only."""
@@ -135,7 +128,6 @@ class DenseOperator:
             raise ValueError("column count must divide evenly into users")
         self.u_max = u_max
         self.t_cp = n_cols // u_max
-        self.xi = None
 
     @property
     def shape(self):
@@ -154,16 +146,11 @@ class DenseOperator:
         return self.mat.copy()
 
 
-def build_operator(cfg: SystemConfig, pilots: PilotBook | None = None,
-                   window: np.ndarray | None = None,
-                   xi: np.ndarray | None = None) -> SensingOperator:
-    if window is None:
-        window = control_window(cfg)
+def build_operator(cfg: SystemConfig,
+                   pilots: PilotBook | None = None) -> SensingOperator:
     if pilots is None:
-        pilots = build_pilot_book(cfg, window=window)
-    if xi is None:
-        xi = randomized_multiplier(cfg)
-    return SensingOperator(pilots, cfg.t_cp, xi=xi)
+        pilots = build_pilot_book(cfg)
+    return SensingOperator(pilots, cfg.t_cp, xi=randomized_multiplier(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from csra.config import (SystemConfig, ConfigError, control_window, slot_plan,
                          read_config, write_config, config_hash, desk_profile,
-                         lte_profile)
+                         lte_profile, MODULATIONS, WINDOW_MODES, SENSING_MODES,
+                         SOLVERS)
 from csra import cli, harness
 from csra.harness import (SweepSpec, run_trial, run_trials, aggregate,
                           sweep_alpha, sweep_roc, emit_bounds, emit_throughput,
@@ -51,6 +53,37 @@ class TestConfig:
     def test_profile_file_roundtrip(self, tmp_path, profile):
         cfg = profile()
         path = tmp_path / "scenario.cfg"
+        write_config(cfg, path)
+        back = read_config(path)
+        assert back == cfg
+        assert config_hash(back) == config_hash(cfg)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_file_roundtrip_property(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 64))
+        t_cp = data.draw(st.integers(1, n))
+        u_max = data.draw(st.integers(1, 6))
+        kw = dict(
+            n=n, m=data.draw(st.integers(1, n)), t_cp=t_cp, u_max=u_max,
+            k1=data.draw(st.integers(1, t_cp)), k2=data.draw(st.integers(0, u_max)),
+            b_slots=data.draw(st.integers(1, 8)),
+            alpha=data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+            snr_db=data.draw(st.floats(allow_nan=False)),
+            modulation=data.draw(st.sampled_from(tuple(MODULATIONS))),
+            bits_per_user=data.draw(st.integers(1, 16)),
+            seed=data.draw(st.integers(0, 2 ** 63)),
+            trials=data.draw(st.integers(1, 10 ** 6)),
+            window_mode=data.draw(st.sampled_from(WINDOW_MODES)),
+            sensing_mode=data.draw(st.sampled_from(SENSING_MODES)),
+            solver=data.draw(st.sampled_from(SOLVERS)),
+            xi_thr=data.draw(st.floats(min_value=0.0, allow_nan=False)),
+        )
+        try:
+            cfg = SystemConfig(**kw)
+        except ConfigError:
+            assume(False)
+        path = tmp_path_factory.getbasetemp() / "roundtrip.cfg"
         write_config(cfg, path)
         back = read_config(path)
         assert back == cfg

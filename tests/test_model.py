@@ -1,5 +1,7 @@
 """Transmit-side model: pilots, activity, channels, cyclic convolution."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from csra.config import SystemConfig, control_window, slot_plan, trial_rng
 from csra.model import (build_pilot_book, draw_activity, draw_channels,
                         draw_data, circular_convolve, transmit_receive,
                         unitary_fft, unitary_ifft)
+from csra.sensing import randomized_multiplier
 
 
 def toy_cfg(**kw):
@@ -15,6 +18,13 @@ def toy_cfg(**kw):
                 bits_per_user=16, seed=321, trials=4, sensing_mode="plain")
     base.update(kw)
     return SystemConfig(**base)
+
+
+def pilot_spectrum(pilots, u):
+    """User u's n-point pilot spectrum: the window values, zero elsewhere."""
+    freq = np.zeros(pilots.n, dtype=complex)
+    freq[pilots.window] = pilots.window_values[u]
+    return freq
 
 
 def dense_circulant(v):
@@ -26,28 +36,27 @@ class TestPilots:
     def test_power_and_support(self):
         cfg = toy_cfg()
         book = build_pilot_book(cfg)
-        win = control_window(cfg)
-        outside = np.setdiff1d(np.arange(cfg.n), win)
-        assert np.all(book.freq[:, outside] == 0)
+        assert np.array_equal(book.window, control_window(cfg))
+        assert book.n == cfg.n and book.window_values.shape == (cfg.u_max, cfg.m)
         # (1/n)||p_u||^2 = alpha exactly (Parseval: time and freq norms agree)
         for u in range(cfg.u_max):
-            assert np.linalg.norm(book.freq[u]) ** 2 / cfg.n == pytest.approx(cfg.alpha, abs=1e-12)
+            assert np.linalg.norm(book.window_values[u]) ** 2 / cfg.n == pytest.approx(cfg.alpha, abs=1e-12)
         mags = np.abs(book.window_values)
         assert np.allclose(mags, mags[0, 0])
 
     def test_zero_alpha_warns_and_zeroes(self):
         with pytest.warns(UserWarning):
             book = build_pilot_book(toy_cfg(alpha=0.0))
-        assert np.all(book.freq == 0)
+        assert np.all(book.window_values == 0)
 
     def test_pairwise_distinct_and_deterministic(self):
         cfg = toy_cfg()
         a = build_pilot_book(cfg)
         b = build_pilot_book(cfg)
-        assert np.array_equal(a.freq, b.freq)
+        assert np.array_equal(a.window_values, b.window_values)
         for u in range(cfg.u_max):
             for v in range(u + 1, cfg.u_max):
-                assert not np.allclose(a.freq[u], a.freq[v])
+                assert not np.allclose(a.window_values[u], a.window_values[v])
 
 
 class TestActivity:
@@ -153,7 +162,7 @@ class TestTransmitReceive:
         frame = transmit_receive(cfg, pilots, data, ch, rng, plan=plan)
         x_freq = np.zeros(cfg.n, dtype=complex)
         x_freq[plan.user_subcarriers(u)] = frame.tx_symbols[u]
-        assert np.allclose(frame.y_freq, pilots.freq[u] + x_freq, atol=1e-12)
+        assert np.allclose(frame.y_freq, pilot_spectrum(pilots, u) + x_freq, atol=1e-12)
 
     def test_matches_time_domain_oracle(self):
         # oracle: per-user dense circulant convolution in time, then unitary FFT
@@ -172,7 +181,7 @@ class TestTransmitReceive:
             h_pad[:cfg.t_cp] = ch.per_user(u)
             x_freq = np.zeros(cfg.n, dtype=complex)
             x_freq[plan.user_subcarriers(u)] = frame.tx_symbols[u]
-            tx_time = unitary_ifft(pilots.freq[u] + x_freq)
+            tx_time = unitary_ifft(pilot_spectrum(pilots, u) + x_freq)
             y_time += dense_circulant(h_pad) @ tx_time
         oracle = unitary_fft(y_time)
         assert np.max(np.abs(oracle - frame.y_freq)) <= 1e-9
@@ -198,6 +207,41 @@ class TestTransmitReceive:
             assert np.sum(np.abs(frame.y_freq[win]) ** 2) / cfg.n == pytest.approx(0.3, abs=1e-12)
             slot_power.extend(np.abs(frame.y_freq[plan.user_subcarriers(u)]) ** 2)
         assert np.mean(slot_power) == pytest.approx(0.7, rel=0.02)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(window_mode="contiguous"),
+        dict(window_mode="random"),
+        dict(window_mode="random", sensing_mode="randomized"),
+        dict(window_mode="contiguous", b_slots=3),   # shared slots
+    ])
+    def test_matches_full_band_formula_bitwise(self, overrides):
+        # each user's channel applied to its full n-point pilot + payload
+        # spectrum, as the window-scatter form must reproduce bit for bit
+        cfg = toy_cfg(**overrides)
+        pilots = build_pilot_book(cfg)
+        plan = slot_plan(cfg)
+        xi = randomized_multiplier(cfg)
+        for t in range(4):
+            rng = trial_rng(cfg, t)
+            act = draw_activity(cfg, rng)
+            ch = draw_channels(cfg, act, rng)
+            data = draw_data(cfg, act, rng)
+            noise_rng = copy.deepcopy(rng)
+            frame = transmit_receive(cfg, pilots, data, ch, rng, plan=plan, xi=xi)
+            y_clean = np.zeros(cfg.n, dtype=complex)
+            for u in act.active:
+                x_freq = np.zeros(cfg.n, dtype=complex)
+                x_freq[plan.user_subcarriers(u)] = np.sqrt(1.0 - cfg.alpha) * data.symbols[u]
+                y_clean += ch.freq_gains(u, cfg.n) * (pilot_spectrum(pilots, u) + x_freq)
+            noise = np.sqrt(cfg.sigma2 / 2.0) * (noise_rng.standard_normal(cfg.n)
+                                                 + 1j * noise_rng.standard_normal(cfg.n))
+            y_freq = y_clean + noise
+            assert np.array_equal(frame.y_freq, y_freq)
+            if xi is None:
+                y_window = y_freq[pilots.window]
+            else:
+                y_window = unitary_fft(xi * unitary_ifft(y_freq))[pilots.window]
+            assert np.array_equal(frame.y_window, y_window)
 
     def test_deterministic(self):
         cfg = toy_cfg()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from csra.config import SystemConfig, control_window
-from csra.harness import plain_dense_reference
+from csra.harness import dense_reference
 from csra.model import PilotBook, build_pilot_book
 from csra.sensing import (SensingOperator, DenseOperator, build_operator,
                           randomized_multiplier, restricted_lstsq,
@@ -49,10 +49,9 @@ class TestApplyAdjoint:
 
     def test_matrix_free_matches_dense(self, toy_op):
         rng = np.random.default_rng(11)
-        # plain mode: the reference comes from the definition, not the
-        # operator's own partial-DFT block
-        dense = (plain_dense_reference(toy_op) if toy_op.xi is None
-                 else toy_op.materialize())
+        # the reference comes from the definition through full-band FFTs,
+        # not from the operator's own partial-DFT block and window mixer
+        dense = dense_reference(toy_op)
         for _ in range(10):
             h = random_vec(rng, toy_op.shape[1])
             ref = dense @ h
@@ -97,9 +96,10 @@ class TestApplyAdjoint:
 
 
 @st.composite
-def plain_operators(draw):
-    """Small plain-mode operators: contiguous or random windows, any t_cp in
-    [1, n], alpha in [0, 1] with 0 drawn explicitly."""
+def operators(draw):
+    """Small operators: contiguous or random windows, any t_cp in [1, n],
+    alpha in [0, 1] with 0 and 1 drawn explicitly, and either plain mode or
+    a random unit-modulus time-domain multiplier."""
     n = draw(st.integers(1, 40))
     m = draw(st.integers(1, n))
     if draw(st.booleans()):
@@ -113,10 +113,10 @@ def plain_operators(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     values = np.sqrt(n * alpha / m) * np.exp(
         2j * np.pi * rng.uniform(size=(u_max, m)))
-    freq = np.zeros((u_max, n), dtype=complex)
-    freq[:, window] = values
-    op = SensingOperator(PilotBook(freq=freq, window=window,
-                                   window_values=values, alpha=alpha), t_cp)
+    xi = (np.exp(2j * np.pi * rng.uniform(size=n)) if draw(st.booleans())
+          else None)
+    op = SensingOperator(PilotBook(n=n, window=window, window_values=values,
+                                   alpha=alpha), t_cp, xi=xi)
     return op, rng
 
 
@@ -126,25 +126,30 @@ def assert_close(got, ref):
 
 
 @settings(max_examples=150, deadline=None)
-@given(plain_operators())
-def test_plain_gemm_matches_fft_formulas(case):
+@given(operators())
+def test_operator_matches_fft_formulas(case):
     op, rng = case
-    n, t_cp, win, pilots = op.n, op.t_cp, op.window, op.pilots
+    n, t_cp, win = op.n, op.t_cp, op.window
+    xi = np.ones(n) if op.xi is None else op.xi
+    freq = np.zeros((op.u_max, n), dtype=complex)
+    freq[:, win] = op.pilots.window_values
     h = random_vec(rng, op.shape[1])
     y = random_vec(rng, op.shape[0])
-    # the length-n FFT formulas the partial-DFT GEMMs replace
+    # the length-n FFT formulas (P_B W M_xi W* on the pilot spectra) that the
+    # partial-DFT GEMMs and the window mixer replace
     spectra = np.fft.fft(h.reshape(op.u_max, t_cp), n=n, axis=1)
-    assert_close(op.apply(h), np.einsum("uf,uf->f", spectra[:, win],
-                                        pilots.window_values))
+    s_time = np.fft.ifft(np.sum(spectra * freq, axis=0))
+    assert_close(op.apply(h), np.fft.fft(xi * s_time)[win])
     w = np.zeros(n, dtype=complex)
     w[win] = y
-    adj = n * np.fft.ifft(np.conj(pilots.freq) * w, axis=1)[:, :t_cp]
+    v_freq = np.fft.fft(np.conj(xi) * np.fft.ifft(w))
+    adj = n * np.fft.ifft(np.conj(freq) * v_freq, axis=1)[:, :t_cp]
     assert_close(op.adjoint(y), adj.reshape(-1))
     support = rng.choice(op.shape[1], size=min(op.shape[1], 5), replace=False)
     users, delays = np.divmod(support, t_cp)
-    taps = np.zeros((support.size, n))
-    taps[np.arange(support.size), delays] = 1.0
-    cols = np.fft.fft(taps, axis=1)[:, win] * pilots.window_values[users]
+    pilot_time = np.fft.ifft(freq, norm="ortho")
+    shifted = np.array([np.roll(pilot_time[u], t) for u, t in zip(users, delays)])
+    cols = np.fft.fft(xi * shifted, axis=1)[:, win] / np.sqrt(n)
     assert_close(op.columns(support), cols.T)
     lhs = np.vdot(y, op.apply(h))
     rhs = np.vdot(op.adjoint(y), h)
