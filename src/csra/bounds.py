@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate, stats
+from scipy import integrate, special
 
 from .config import SystemConfig, slot_plan, trial_rng
 from .detection import detect_active
@@ -60,25 +60,24 @@ class FadingModel:
 
     # ---- channel-norm law -------------------------------------------------
 
-    def _gamma(self):
-        return stats.gamma(a=self.k1, scale=1.0 / self.k1)
-
     def norm_cdf(self, x: float) -> float:
         if self.kind == "point_mass":
             return float(x >= self.norm_x0)
-        return float(self._gamma().cdf(max(x, 0.0) ** 2))
+        return float(special.gammainc(self.k1, self.k1 * max(x, 0.0) ** 2))
 
     def norm_pdf(self, x: float) -> float:
         if self.kind == "point_mass":
             raise ValueError("point mass has no density")
         if x <= 0:
             return 0.0
-        return float(2.0 * x * self._gamma().pdf(x ** 2))
+        k = self.k1
+        return 2.0 * x * k * math.exp((k - 1) * math.log(k * x * x) - k * x * x
+                                      - math.lgamma(k))
 
     def sample_norm(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "point_mass":
             return np.full(size, self.norm_x0)
-        return np.sqrt(self._gamma().rvs(size=size, random_state=rng))
+        return np.sqrt(rng.gamma(self.k1, 1.0 / self.k1, size))
 
     # ---- per-subcarrier power law ------------------------------------------
 
@@ -125,10 +124,10 @@ def margin_tail_integral(xi: float, fading: FadingModel,
     """Integral of dF(x) / (x - xi)^2 over x > xi + cutoff_delta, where F is
     the channel-norm distribution.
 
-    With cutoff_delta = 0 the full integral is attempted; for a norm law
-    with continuous positive density near xi it grows without bound, which
-    is detected by doubling behavior under cutoff halving and reported as
-    math.inf (never a silently truncated finite value).
+    With cutoff_delta = 0 and the gamma law it has a closed form: it is
+    math.inf when xi > 0 (the density is positive at xi) or k1 == 1 (near 0
+    the integrand behaves like x^(2 k1 - 3)), and E[1/||h||^2] = k1/(k1 - 1)
+    otherwise. A positive cutoff is integrated by adaptive quadrature.
     """
     if xi < 0:
         raise ValueError("xi must be >= 0")
@@ -138,28 +137,20 @@ def margin_tail_integral(xi: float, fading: FadingModel,
         if fading.norm_x0 > xi + cutoff_delta:
             return 1.0 / (fading.norm_x0 - xi) ** 2
         return 0.0
-
-    def at_cutoff(delta: float) -> float:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", integrate.IntegrationWarning)
-            try:
-                val, _ = integrate.quad(
-                    lambda x: fading.norm_pdf(x) / (x - xi) ** 2,
-                    xi + delta, np.inf,
-                    epsabs=fading.abs_tol, limit=fading.quad_limit)
-            except integrate.IntegrationWarning as exc:
-                raise RuntimeError(f"tail quadrature did not converge: {exc}") from exc
-        return float(val)
-
-    if cutoff_delta > 0.0:
-        return at_cutoff(cutoff_delta)
-    # divergence probe: halve a small cutoff and watch the value blow up
-    probe = 0.05
-    values = [at_cutoff(probe / 2 ** i) for i in range(3)]
-    ratios = [values[i + 1] / max(values[i], 1e-300) for i in range(2)]
-    if all(r > 1.5 for r in ratios):
-        return math.inf
-    return values[-1]
+    if cutoff_delta == 0.0:
+        if xi > 0.0 or fading.k1 == 1:
+            return math.inf
+        return fading.k1 / (fading.k1 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", integrate.IntegrationWarning)
+        try:
+            val, _ = integrate.quad(
+                lambda x: fading.norm_pdf(x) / (x - xi) ** 2,
+                xi + cutoff_delta, np.inf,
+                epsabs=fading.abs_tol, limit=fading.quad_limit)
+        except integrate.IntegrationWarning as exc:
+            raise RuntimeError(f"tail quadrature did not converge: {exc}") from exc
+    return float(val)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, SystemConfig, read_config, desk_profile, lte_profile
-from .bounds import FadingModel
+from .bounds import FadingModel, margin_tail_integral
 from . import harness
 
 
@@ -152,10 +152,15 @@ def _dispatch(args) -> int:
 
     if args.command == "bounds":
         out = args.out or Path("bounds.csv")
+        fading = FadingModel.from_taps(cfg.k1)
         harness.emit_bounds(cfg, _grid(args.alphas), xi=args.xi_norm,
-                            delta_2k=args.delta2k,
-                            fading=FadingModel.from_taps(cfg.k1),
+                            delta_2k=args.delta2k, fading=fading,
                             cutoff_delta=args.cutoff, out_path=out)
+        if cfg.sigma2 > 0 and np.isinf(
+                margin_tail_integral(args.xi_norm, fading, args.cutoff)):
+            print(f"note: the margin tail integral diverges at xi_norm = "
+                  f"{args.xi_norm}, cutoff = {args.cutoff} (k1 = {cfg.k1}); "
+                  f"every pmd_bound is vacuous (clamped to 1)", file=sys.stderr)
         print(f"wrote {out}")
         return 0
 

@@ -90,6 +90,7 @@ class SystemConfig:
             (0 <= c.k2 <= c.u_max, "need 0 <= k2 <= u_max"),
             (c.u_max >= 1, "u_max must be >= 1"),
             (0.0 <= c.alpha <= 1.0, "alpha must be in [0, 1]"),
+            (not np.isnan(c.snr_db), "snr_db must not be NaN"),
             (c.b_slots >= 1, "b_slots must be >= 1"),
             (c.window_mode in WINDOW_MODES, f"window_mode not in {WINDOW_MODES}"),
             (c.sensing_mode in SENSING_MODES, f"sensing_mode not in {SENSING_MODES}"),

@@ -49,6 +49,26 @@ class TestFadingModel:
         total, _ = quad(fading.norm_pdf, 0, np.inf, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("k1", [1, 2, 5, 6])
+    def test_closed_forms_match_scipy_gamma(self, k1):
+        from scipy import stats
+        fading = FadingModel.from_taps(k1)
+        law = stats.gamma(a=k1, scale=1.0 / k1)
+        for x in np.concatenate([np.linspace(1e-3, 4.0, 200), [1e-6, 6.0]]):
+            assert fading.norm_pdf(x) == pytest.approx(2 * x * law.pdf(x * x),
+                                                       rel=1e-12, abs=0)
+            assert fading.norm_cdf(x) == pytest.approx(law.cdf(x * x),
+                                                       rel=1e-12, abs=0)
+        assert fading.norm_pdf(0.0) == 0.0 and fading.norm_cdf(-1.0) == 0.0
+
+    @pytest.mark.parametrize("k1", [1, 2, 5])
+    def test_sample_norm_keeps_the_scipy_stream(self, k1):
+        from scipy import stats
+        old = np.sqrt(stats.gamma(a=k1, scale=1.0 / k1).rvs(
+            size=1000, random_state=np.random.default_rng(99)))
+        new = FadingModel.from_taps(k1).sample_norm(np.random.default_rng(99), 1000)
+        assert np.array_equal(new, old)
+
     def test_point_mass_cdf(self):
         fading = FadingModel.point_mass(2.0)
         assert fading.norm_cdf(1.9) == 0.0 and fading.norm_cdf(2.0) == 1.0
@@ -70,6 +90,20 @@ class TestMarginTailIntegral:
 
     def test_divergent_for_continuous_density(self):
         assert math.isinf(margin_tail_integral(0.5, FadingModel.from_taps(2)))
+
+    @pytest.mark.parametrize("k1, xi", [(1, 0.0), (5, 0.3)])
+    def test_divergent_at_zero_threshold_or_single_tap(self, k1, xi):
+        # density positive at xi > 0; at xi = 0 the integrand ~ x^(2 k1 - 3)
+        assert math.isinf(margin_tail_integral(xi, FadingModel.from_taps(k1)))
+
+    @pytest.mark.parametrize("k1", [5, 6])
+    def test_zero_threshold_is_inverse_norm_moment(self, k1):
+        # oracle: 1e6-draw mean of 1/||h||^2 (finite variance needs k1 > 2)
+        fading = FadingModel.from_taps(k1)
+        value = margin_tail_integral(0.0, fading)
+        assert value == k1 / (k1 - 1)
+        inv = 1.0 / fading.sample_norm(np.random.default_rng(k1), 10 ** 6) ** 2
+        assert abs(value - inv.mean()) <= 3.0 * inv.std(ddof=1) / 1e3
 
     def test_fixed_cutoff_matches_monte_carlo(self):
         # oracle: 1e6-draw mean of 1{x > xi + 0.1} / (x - xi)^2

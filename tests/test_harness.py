@@ -38,6 +38,16 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 toy_cfg(**kw)
 
+    def test_nan_snr_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="snr_db"):
+            toy_cfg(snr_db=float("nan"))
+        path = tmp_path / "nan.cfg"
+        write_config(toy_cfg(), path)
+        path.write_text(path.read_text().replace("snr_db = 20.0", "snr_db = nan"))
+        with pytest.raises(ConfigError, match="snr_db"):
+            read_config(path)
+        assert toy_cfg(snr_db=math.inf).sigma2 == 0.0
+
     def test_qpsk_needs_even_bits(self):
         with pytest.raises(ConfigError):
             toy_cfg(modulation="qpsk", bits_per_user=15)
@@ -69,7 +79,7 @@ class TestConfig:
             k1=data.draw(st.integers(1, t_cp)), k2=data.draw(st.integers(0, u_max)),
             b_slots=data.draw(st.integers(1, 8)),
             alpha=data.draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
-            snr_db=data.draw(st.floats(allow_nan=False)),
+            snr_db=data.draw(st.floats()),
             modulation=data.draw(st.sampled_from(tuple(MODULATIONS))),
             bits_per_user=data.draw(st.integers(1, 16)),
             seed=data.draw(st.integers(0, 2 ** 63)),
@@ -340,6 +350,23 @@ class TestCli:
                          "--alphas", "0.5,0.7", "--delta2k", "0.2",
                          "--cutoff", "0.1", "--out", str(out)])
         assert code == 0 and out.exists()
+
+    def test_bounds_reports_divergent_tail(self, tmp_path, capsys):
+        out = tmp_path / "bounds.csv"
+        assert cli.main(["bounds", "--alphas", "0.5", "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "diverges at xi_norm = 0.3" in err
+        assert cli.main(["bounds", "--alphas", "0.5", "--xi-norm", "0",
+                         "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_cli_import_skips_scipy_stats(self):
+        # scipy.stats costs about 20 MiB and most of a second to import
+        code = ("import sys, csra.cli; "
+                "sys.exit('scipy.stats' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "csra.cli", "throughput",
