@@ -153,11 +153,14 @@ def _dispatch(args) -> int:
     if args.command == "bounds":
         out = args.out or Path("bounds.csv")
         fading = FadingModel.from_taps(cfg.k1)
-        harness.emit_bounds(cfg, _grid(args.alphas), xi=args.xi_norm,
-                            delta_2k=args.delta2k, fading=fading,
-                            cutoff_delta=args.cutoff, out_path=out)
-        if cfg.sigma2 > 0 and np.isinf(
-                margin_tail_integral(args.xi_norm, fading, args.cutoff)):
+        try:    # the bound evaluators own the domains of these flags
+            harness.emit_bounds(cfg, _grid(args.alphas), xi=args.xi_norm,
+                                delta_2k=args.delta2k, fading=fading,
+                                cutoff_delta=args.cutoff, out_path=out)
+            tail = margin_tail_integral(args.xi_norm, fading, args.cutoff)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if cfg.sigma2 > 0 and np.isinf(tail):
             print(f"note: the margin tail integral diverges at xi_norm = "
                   f"{args.xi_norm}, cutoff = {args.cutoff} (k1 = {cfg.k1}); "
                   f"every pmd_bound is vacuous (clamped to 1)", file=sys.stderr)

@@ -1,12 +1,14 @@
 """Sparse recovery of the compound channel from window observations.
 
 Two solvers share one result type: CoSaMP (greedy, needs the sparsity k) and
-basis pursuit denoising min ||h||_1 s.t. ||A h - y|| <= eps (first-order
-primal-dual iteration; the algorithm is an implementation detail, the
-feasibility/objective contract is what tests pin down). Both accept any
-operator exposing apply/adjoint/columns/shape.
+basis pursuit denoising min ||h||_1 s.t. ||A h - y|| <= eps (Douglas-Rachford
+splitting with an exact projection onto the residual ball; the algorithm is
+an implementation detail, the feasibility/objective contract is what tests
+pin down). Both accept any operator exposing apply/adjoint/columns/shape;
+BPDN also needs `gram_eigh`, the eigendecomposition of A A^H.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +36,6 @@ class BpdnConfig:
     check_every: int = 25
     feas_floor: float = 1e-6    # absolute feasibility target, in units of ||y||;
                                 # governs how tightly eps = 0 is honored
-    step_balance: float = 0.05  # primal/dual step ratio: tau = b/L, sigma = 1/(bL);
-                                # b < 1 favors feasibility, which dominates runtime
 
 
 def _energies(h: np.ndarray, u_max: int, t_cp: int) -> np.ndarray:
@@ -118,37 +118,62 @@ def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
     return z * np.maximum(1.0 - t / np.maximum(mag, 1e-300), 0.0)
 
 
-def _operator_norm(op, iters: int = 40) -> float:
-    """Largest singular value by power iteration on A*A (seeded, cached)."""
-    cached = getattr(op, "_opnorm_cache", None)
-    if cached is not None:
-        return cached
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(iters):
-        w = op.adjoint(op.apply(v))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        est = np.sqrt(nw)
-        v = w / nw
-    est = float(est) * 1.01   # slack so tau*sigma*L^2 stays < 1
-    try:
-        op._opnorm_cache = est
-    except AttributeError:
-        pass
-    return est
+# Douglas-Rachford constants: the l1 prox step in units of 1/||A|| (the
+# iterates live on the y/||y|| scale) and the over-relaxation in (0, 2).
+DR_STEP = 0.03
+DR_RELAX = 1.8
+_NEWTON_MAX = 50
+_ROUNDOFF = np.finfo(float).eps
+
+
+def _ball_weights(lam: np.ndarray, s: np.ndarray, eps: float,
+                  mu: float) -> tuple[np.ndarray, float]:
+    """Weights c with P(v) = v - A^H V c, the projection onto
+    {||A h - y|| <= eps} (r = A v - y, A A^H = V diag(lam) V^H, s = V^H r),
+    and the multiplier mu >= 0 that produced them (warm start for the next
+    call; inf marks the pseudo-inverse limit).
+
+    c = s mu / (1 + mu lam), with mu the root of
+    sum |s|^2 / (1 + mu lam)^2 = eps^2, found by Newton on 1/||.|| - 1/eps
+    (concave and increasing in mu, so the iterates never pass the root
+    once below it) on the scale ||s|| = 1. When eps is 0 or below the
+    round-off of ||r||, or the part of r outside the range of A already
+    exceeds eps, the limit c = s / lam is taken (0 where lam = 0).
+    """
+    power = s.real ** 2 + s.imag ** 2
+    total = float(power.sum())
+    if total <= eps * eps:
+        return np.zeros_like(s), 0.0
+    ranged = lam > 0.0
+    if eps * eps <= _ROUNDOFF ** 2 * total or power[~ranged].sum() >= eps * eps:
+        return np.where(ranged, s / np.where(ranged, lam, 1.0), 0.0), math.inf
+    power /= total
+    eps /= math.sqrt(total)
+    if not math.isfinite(mu):
+        mu = 0.0
+    weighted = power * lam
+    for _ in range(_NEWTON_MAX):
+        shrink = 1.0 / (1.0 + mu * lam)
+        sq = shrink * shrink
+        norm = math.sqrt(power @ sq)
+        if abs(norm - eps) <= 1e-12 * eps:
+            break
+        slope = (weighted @ (sq * shrink)) / norm ** 3
+        mu = max(mu - (1.0 / norm - 1.0 / eps) / slope, 0.0)
+    return s * (mu / (1.0 + mu * lam)), mu
 
 
 def bpdn(op, y: np.ndarray, eps: float, solver_cfg: BpdnConfig | None = None,
          h_true: np.ndarray | None = None) -> RecoveryResult:
     """min ||h||_1 subject to ||A h - y|| <= eps.
 
-    Primal-dual (Chambolle-Pock) iteration with the exact projection onto
-    the residual ball as the dual prox. The problem is solved on y/||y||,
-    which makes the routine exactly positively homogeneous in (y, eps).
+    Relaxed Douglas-Rachford splitting of ||h||_1 and the indicator of the
+    residual ball: x = soft(z, g), p = P(2x - z), z += DR_RELAX (p - x),
+    with the exact projection P through the eigendecomposition of A A^H
+    (`op.gram_eigh`) and g = DR_STEP / ||A||, ||A|| = sqrt(lambda_max)
+    exact. A z is carried along by recursion, so each iteration costs one
+    apply and at most one adjoint. The problem is solved on y/||y||, which
+    makes the routine exactly positively homogeneous in (y, eps).
     Non-convergence is reported via converged=False, never silently.
     """
     y = np.asarray(y, dtype=complex)
@@ -163,17 +188,19 @@ def bpdn(op, y: np.ndarray, eps: float, solver_cfg: BpdnConfig | None = None,
     if eps >= y_norm:   # zero is feasible, hence l1-minimal
         return _result(op, np.zeros(n_cols, dtype=complex), y, 0, True, h_true)
 
+    lam, vecs = op.gram_eigh
+    lam_max = float(lam[-1])
+    if lam_max <= 0.0:
+        return _result(op, np.zeros(n_cols, dtype=complex), y, 0, False, h_true)
+    # eigenvalues at round-off level count as the null space of A^H
+    lam = np.where(lam > lam_max * len(lam) * _ROUNDOFF, lam, 0.0)
+    gamma = DR_STEP / math.sqrt(lam_max)
+
     yn = y / y_norm
     epsn = eps / y_norm
-    lip = _operator_norm(op)
-    if lip == 0.0:
-        return _result(op, np.zeros(n_cols, dtype=complex), y, 0, False, h_true)
-    tau = 0.97 * cfg.step_balance / lip
-    sigma = 0.97 / (cfg.step_balance * lip)
-
-    h = np.zeros(n_cols, dtype=complex)
-    h_bar = h.copy()
-    w = np.zeros(op.shape[0], dtype=complex)
+    z = x = np.zeros(n_cols, dtype=complex)
+    az = np.zeros(op.shape[0], dtype=complex)
+    mu = 0.0
     history = []
     feas_target = max(epsn * (1.0 + cfg.feas_tol), cfg.feas_floor)
     obj_prev = np.inf
@@ -181,25 +208,29 @@ def bpdn(op, y: np.ndarray, eps: float, solver_cfg: BpdnConfig | None = None,
     it = 0
     while it < cfg.max_iter:
         it += 1
-        v = w + sigma * op.apply(h_bar)
-        u = v / sigma
-        diff = u - yn
-        dn = float(np.linalg.norm(diff))
-        proj = u if dn <= epsn else yn + diff * (epsn / dn)
-        w = v - sigma * proj
-        h_new = _soft_threshold(h - tau * op.adjoint(w), tau)
-        h_bar = 2.0 * h_new - h
-        h = h_new
+        # x = prox(z); v = 2x - z; p = P(v); z += relax (p - x), written as
+        # increments p - x = (x - z) - A^H V c and A p - A x likewise
+        x = _soft_threshold(z, gamma)
+        ax = op.apply(x)
+        dz = x - z
+        daz = ax - az
+        s = np.conj(np.conj(daz + ax - yn) @ vecs)  # V^H r, no copy of V^H
+        c, mu = _ball_weights(lam, s, epsn, mu)
+        if mu != 0.0:
+            dz -= op.adjoint(vecs @ c)
+            daz -= vecs @ (lam * c)
+        z += DR_RELAX * dz
+        az += DR_RELAX * daz
         if it % cfg.check_every == 0 or it == cfg.max_iter:
-            feas = float(np.linalg.norm(op.apply(h) - yn))
-            obj = float(np.sum(np.abs(h)))
-            history.append((it, feas * y_norm, int(np.count_nonzero(h))))
+            feas = float(np.linalg.norm(ax - yn))
+            obj = float(np.sum(np.abs(x)))
+            history.append((it, feas * y_norm, int(np.count_nonzero(x))))
             if feas <= feas_target and \
                     abs(obj - obj_prev) <= max(cfg.obj_tol * 1e-2, 1e-9) * max(obj, 1e-15):
                 converged = True
                 break
             obj_prev = obj
-    h_raw = h * y_norm
+    h_raw = x * y_norm
     result = _result(op, h_raw, y, it, converged, h_true, history)
     if not converged:
         result.converged = result.residual_norm <= feas_target * y_norm

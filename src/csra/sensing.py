@@ -10,10 +10,16 @@ fixed pointwise time-domain multiplier xi before the FFT. The pilots live
 on the window, so that operator is C @ A_plain with C the m x m window
 mixer C[f, g] = fft(xi)[(f - g) mod n] / n, one more GEMM per call. A dense
 materialization is kept under a column cap as an oracle.
+
+Both operator classes also expose `gram_eigh`, the eigendecomposition
+(eigenvalues ascending, eigenvectors as columns) of the m x m Gram A A^H,
+computed on first use and cached; BPDN projects onto its residual ball
+through it.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -81,6 +87,17 @@ class SensingOperator:
     def _mixed(self, v: np.ndarray) -> np.ndarray:
         return v if self._mix is None else self._mix @ v
 
+    @cached_property
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of A A^H. In plain mode the Gram is
+        (W^T conj(W)) * (F F^H) elementwise, W the pilot window values and F
+        the partial-DFT block; the randomized mode mixes it to C G C^H."""
+        values = self.pilots.window_values
+        gram = (values.T @ np.conj(values)) * (self._dft @ np.conj(self._dft.T))
+        if self._mix is not None:
+            gram = self._mix @ gram @ np.conj(self._mix.T)
+        return np.linalg.eigh(gram)
+
     def apply(self, h: np.ndarray) -> np.ndarray:
         """A @ h: a GEMM with the partial-DFT block, then the window mixer
         (randomized)."""
@@ -144,6 +161,11 @@ class DenseOperator:
 
     def materialize(self):
         return self.mat.copy()
+
+    @cached_property
+    def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors) of A A^H."""
+        return np.linalg.eigh(self.mat @ self.mat.conj().T)
 
 
 def build_operator(cfg: SystemConfig,

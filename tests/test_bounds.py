@@ -74,10 +74,13 @@ class TestFadingModel:
         assert fading.norm_cdf(1.9) == 0.0 and fading.norm_cdf(2.0) == 1.0
 
     def test_expect_log1p_closed_form(self):
+        # against quadrature, also where e^(1/c) overflows (c = 1e-6, 1e-3)
+        from scipy.integrate import quad
         fading = FadingModel.from_taps(3)   # per-subcarrier law is Exp(1)
-        for c in (0.5, 5.0, 50.0):
-            assert fading.expect_log1p(c) == pytest.approx(
-                explog1p_exponential(c), abs=1e-7)
+        for c in (1e-6, 1e-3, 0.055, 0.5, 9.0, 99.0, 1e4):
+            ref, _ = quad(lambda p: math.log1p(c * p) * math.exp(-p), 0, np.inf,
+                          epsabs=0, epsrel=1e-13, limit=200)
+            assert fading.expect_log1p(c) == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 class TestMarginTailIntegral:

@@ -360,10 +360,23 @@ class TestCli:
                          "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("flag, value", [("--cutoff", "-1"),
+                                             ("--xi-norm", "-0.5"),
+                                             ("--delta2k", "0.5")])
+    def test_bounds_out_of_domain_is_config_error(self, tmp_path, capsys,
+                                                  flag, value):
+        out = tmp_path / "bounds.csv"
+        assert cli.main(["bounds", "--alphas", "0.5", flag, value,
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     def test_cli_import_skips_scipy_stats(self):
-        # scipy.stats costs about 20 MiB and most of a second to import
+        # scipy.stats costs about 20 MiB and most of a second to import,
+        # scipy.integrate about 15 MiB
         code = ("import sys, csra.cli; "
-                "sys.exit('scipy.stats' in sys.modules)")
+                "sys.exit('scipy.stats' in sys.modules "
+                "or 'scipy.integrate' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from csra.config import SystemConfig, trial_rng
 from csra.model import draw_activity, draw_channels
@@ -127,6 +128,43 @@ class TestBpdn:
         op, _, y = toy_instance(toy_cfg(), 0)
         with pytest.raises(ValueError):
             bpdn(op, y, eps=-1.0)
+
+    def test_zero_operator_gives_zero_unconverged(self):
+        y = np.random.default_rng(3).standard_normal(6) + 0j
+        rec = bpdn(DenseOperator(np.zeros((6, 12))), y, eps=0.1)
+        assert np.all(rec.h_hat == 0) and not rec.converged
+        assert rec.iterations == 0
+
+
+@st.composite
+def bpdn_problems(draw):
+    """Small dense problems (m <= 12 rows, m <= N <= 30 columns, so every
+    eps >= 0 is feasible), eps with 0, ||y|| or more, and a share of ||y||
+    far below round-off drawn explicitly, and a positive scale for y and
+    eps."""
+    m = draw(st.integers(1, 12))
+    n_cols = draw(st.integers(m, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mat = rng.standard_normal((m, n_cols)) + 1j * rng.standard_normal((m, n_cols))
+    y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    share = draw(st.sampled_from([0.0, 1e-120, 1.0, 1.5]) | st.floats(0.0, 1.0))
+    scale = draw(st.floats(1e-3, 1e3))
+    return DenseOperator(mat), y, share * float(np.linalg.norm(y)), scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(bpdn_problems())
+def test_bpdn_feasible_and_homogeneous(problem):
+    op, y, eps, c = problem
+    cfg = BpdnConfig()
+    rec = bpdn(op, y, eps)
+    if rec.converged:
+        target = max(eps * (1 + cfg.feas_tol), cfg.feas_floor * np.linalg.norm(y))
+        assert rec.residual_norm <= target * (1 + 1e-9)
+    scaled = bpdn(op, c * y, c * eps)
+    assert scaled.converged == rec.converged
+    assert np.allclose(scaled.h_hat, c * rec.h_hat, rtol=1e-12,
+                       atol=1e-12 * c * float(np.max(np.abs(rec.h_hat), initial=0.0)))
 
 
 class TestDebias:

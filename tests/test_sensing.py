@@ -154,6 +154,9 @@ def test_operator_matches_fft_formulas(case):
     lhs = np.vdot(y, op.apply(h))
     rhs = np.vdot(op.adjoint(y), h)
     assert abs(lhs - rhs) / max(1.0, abs(lhs)) <= 1e-10
+    lam, vecs = op.gram_eigh
+    dense = dense_reference(op)
+    assert_close((vecs * lam) @ np.conj(vecs.T), dense @ np.conj(dense.T))
 
 
 class TestMaterialize:
