@@ -19,7 +19,7 @@ from .model import (build_pilot_book, draw_activity, draw_channels,
                     draw_data, transmit_receive, circular_convolve)
 from .sensing import (SensingOperator, DenseOperator, build_operator,
                       rip_constant_exact)
-from .recovery import cosamp, bpdn, debias, BpdnConfig
+from .recovery import cosamp, bpdn, BpdnConfig
 from .detection import detect_active, equalize_demodulate, tally, roc_sweep, TrialMetrics
 from .bounds import (FadingModel, BoundInputs, detection_error_bounds,
                      rate_lower_bound, rate_upper_bound, aloha_throughput,

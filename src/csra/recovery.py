@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sensing import restricted_lstsq
+from .sensing import gram_solve, restricted_lstsq
 
 
 @dataclass
@@ -43,12 +43,15 @@ def _energies(h: np.ndarray, u_max: int, t_cp: int) -> np.ndarray:
 
 
 def _top(magnitudes: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the `count` largest magnitudes; ties break to the lowest
-    index so reruns are deterministic."""
-    if count >= len(magnitudes):
-        return np.arange(len(magnitudes))
-    order = np.lexsort((np.arange(len(magnitudes)), -magnitudes))
-    return np.sort(order[:count])
+    """Sorted indices of the `count` largest magnitudes; ties break to the
+    lowest index so reruns are deterministic. O(len) by partition."""
+    size = len(magnitudes)
+    if count >= size:
+        return np.arange(size)
+    cut = np.partition(magnitudes, size - count)[size - count]
+    above = np.flatnonzero(magnitudes > cut)
+    ties = np.flatnonzero(magnitudes == cut)[:count - above.size]
+    return np.sort(np.concatenate((above, ties)))
 
 
 def _result(op, h, y, iterations, converged, h_true=None, history=None,
@@ -66,13 +69,42 @@ def _result(op, h, y, iterations, converged, h_true=None, history=None,
 # CoSaMP
 # ---------------------------------------------------------------------------
 
+def _merged_fit(op, y: np.ndarray, merged: np.ndarray, k: int):
+    """One CoSaMP estimate/prune/refit on the merged support, from one
+    gather B = op.columns(merged) and its Gram B^H B: the pruned refit
+    reads the Gram's k x k block. A Gram whose Cholesky does not certify
+    its conditioning goes to restricted_lstsq. Returns (pruned support,
+    its coefficients, rank_deficient, residual); the gather is released
+    on return, before the next iteration's."""
+    cols = op.columns(merged)
+    cols_h = np.conj(cols.T)
+    gram, rhs = cols_h @ cols, cols_h @ y
+    del cols_h
+    z = gram_solve(gram, rhs)
+    if z is None:
+        z = restricted_lstsq(op, y, merged)[0][merged]
+    keep = _top(np.abs(z), k)
+    support = merged[keep]
+    coef, flagged = gram_solve(gram[np.ix_(keep, keep)], rhs[keep]), False
+    if coef is None:
+        full, flagged = restricted_lstsq(op, y, support)
+        coef = full[support]
+    return support, coef, flagged, y - cols[:, keep] @ coef
+
+
 def cosamp(op, y: np.ndarray, k: int, max_iter: int = 50, tol: float = 0.0,
            h_true: np.ndarray | None = None) -> RecoveryResult:
     """Standard CoSaMP: proxy top-2k merge, restricted least squares, prune
-    to k, refit on the pruned support. Stops on residual <= tol, stagnation
-    (relative change < 1e-6), or max_iter. A step that would increase the
-    residual is rolled back, so the logged residuals are non-increasing.
-    Output is exactly k-sparse."""
+    to the k largest merged coefficients, refit on the pruned support. Both
+    fits solve the normal equations of one gather per iteration by a
+    certified Cholesky (`sensing.gram_solve`), with `restricted_lstsq`
+    (SVD, minimum norm) as the fallback; rank_deficient reports the final
+    refit. Stops on residual <= max(tol, 1e-12 ||y||), stagnation
+    (relative change < 1e-6), or max_iter; the floor ends a noiseless
+    recovery at its first exact iterate, past which the stopping tests
+    would compare round-off. A step that would increase the residual is
+    rolled back, so the logged residuals are non-increasing. Output is at
+    most k-sparse."""
     y = np.asarray(y, dtype=complex)
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")
@@ -82,31 +114,30 @@ def cosamp(op, y: np.ndarray, k: int, max_iter: int = 50, tol: float = 0.0,
     n_cols = op.shape[1]
     h = np.zeros(n_cols, dtype=complex)
     support = np.array([], dtype=int)
-    residual = y.copy()
+    flagged = False
+    residual = y
     res_norm = float(np.linalg.norm(residual))
     history = [(0, res_norm, 0)]
-    converged = res_norm <= tol
+    stop = max(tol, 1e-12 * res_norm)
+    converged = res_norm <= stop
     it = 0
     while not converged and it < max_iter:
         it += 1
         proxy = op.adjoint(residual)
         merged = np.union1d(_top(np.abs(proxy), 2 * k), support)
-        z, _ = restricted_lstsq(op, y, merged)
-        new_support = _top(np.abs(z), k)
-        # refit on the pruned support: keeps the residual defined by the
-        # pure prune from blowing up when merged columns are coherent
-        h_new, _ = restricted_lstsq(op, y, new_support)
-        res_new = y - op.columns(new_support) @ h_new[new_support]
+        new_support, coef, new_flag, res_new = _merged_fit(op, y, merged, k)
         rn = float(np.linalg.norm(res_new))
         if rn > res_norm * (1.0 + 1e-9):
             converged = True          # stagnated: keep the better iterate
             break
         rel_change = abs(res_norm - rn) / max(res_norm, 1e-300)
-        h, support, residual, res_norm = h_new, new_support, res_new, rn
+        h = np.zeros(n_cols, dtype=complex)
+        h[new_support] = coef
+        support, flagged, residual, res_norm = new_support, new_flag, res_new, rn
         history.append((it, res_norm, int(np.count_nonzero(h))))
-        if res_norm <= tol or rel_change < 1e-6:
+        if res_norm <= stop or rel_change < 1e-6:
             converged = True
-    return _result(op, h, y, it, converged, h_true, history)
+    return _result(op, h, y, it, converged, h_true, history, flagged)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from csra.config import SystemConfig, trial_rng
 from csra.model import draw_activity, draw_channels
-from csra.recovery import cosamp, bpdn, debias, BpdnConfig
+from csra.recovery import _top, cosamp, bpdn, debias, BpdnConfig
 from csra.sensing import DenseOperator, build_operator
 
 
@@ -86,6 +86,112 @@ class TestCosamp:
         bad[0] = np.nan
         with pytest.raises(ValueError):
             cosamp(op, bad, k=2)
+
+
+def lexsort_top(magnitudes, count):
+    """The full-sort top-k: largest first, ties to the lowest index."""
+    if count >= len(magnitudes):
+        return np.arange(len(magnitudes))
+    order = np.lexsort((np.arange(len(magnitudes)), -magnitudes))
+    return np.sort(order[:count])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 10.0),
+                min_size=1, max_size=40),
+       st.integers(1, 45))
+def test_top_matches_lexsort(values, count):
+    mags = np.array(values)
+    got = _top(mags, count)
+    assert np.array_equal(got, lexsort_top(mags, count))
+    assert np.array_equal(_top(np.zeros_like(mags), count),
+                          np.arange(min(count, len(mags))))
+
+
+def svd_lstsq(op, y, support):
+    full = np.zeros(op.shape[1], dtype=complex)
+    full[support] = np.linalg.lstsq(op.columns(support), y, rcond=None)[0]
+    return full
+
+
+def cosamp_reference(op, y, k, max_iter=50):
+    """CoSaMP with two SVD solves per iteration and a prune over the full
+    coefficient vector: the loop the Gram-solve version must reproduce."""
+    y = np.asarray(y, dtype=complex)
+    h = np.zeros(op.shape[1], dtype=complex)
+    support = np.array([], dtype=int)
+    residual = y.copy()
+    res_norm = float(np.linalg.norm(residual))
+    stop = 1e-12 * res_norm
+    converged = res_norm <= stop
+    it = 0
+    while not converged and it < max_iter:
+        it += 1
+        merged = np.union1d(lexsort_top(np.abs(op.adjoint(residual)), 2 * k),
+                            support)
+        z = svd_lstsq(op, y, merged)
+        new_support = lexsort_top(np.abs(z), k)
+        h_new = svd_lstsq(op, y, new_support)
+        res_new = y - op.columns(new_support) @ h_new[new_support]
+        rn = float(np.linalg.norm(res_new))
+        if rn > res_norm * (1.0 + 1e-9):
+            converged = True
+            break
+        rel_change = abs(res_norm - rn) / max(res_norm, 1e-300)
+        h, support, residual, res_norm = h_new, new_support, res_new, rn
+        if res_norm <= stop or rel_change < 1e-6:
+            converged = True
+    return h, it, converged
+
+
+@st.composite
+def cosamp_problems(draw):
+    """Gaussian DenseOperators with 3k <= 3m/4 (merged gathers stay well
+    conditioned), or the toy SensingOperator in either mode; y is a k-sparse
+    signal plus noise of a drawn level."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        m = draw(st.integers(8, 30))
+        shape = (m, draw(st.integers(m, 60)))
+        op = DenseOperator(rng.standard_normal(shape)
+                           + 1j * rng.standard_normal(shape))
+        k = draw(st.integers(1, m // 4))
+    else:
+        op = build_operator(toy_cfg(sensing_mode=draw(
+            st.sampled_from(["plain", "randomized"]))))
+        k = draw(st.integers(1, 8))
+    h = np.zeros(op.shape[1], dtype=complex)
+    h[rng.choice(op.shape[1], k, replace=False)] = (rng.standard_normal(k)
+                                                    + 1j * rng.standard_normal(k))
+    noise = draw(st.sampled_from([0.0, 1e-3, 0.1, 1.0]))
+    y = op.apply(h) + noise * (rng.standard_normal(op.shape[0])
+                               + 1j * rng.standard_normal(op.shape[0]))
+    return op, y, k
+
+
+@settings(max_examples=120, deadline=None)
+@given(cosamp_problems())
+def test_cosamp_matches_two_solve_reference(problem):
+    op, y, k = problem
+    rec = cosamp(op, y, k)
+    h_ref, it_ref, conv_ref = cosamp_reference(op, y, k)
+    assert np.array_equal(np.flatnonzero(rec.h_hat), np.flatnonzero(h_ref))
+    assert (rec.iterations, rec.converged) == (it_ref, conv_ref)
+    assert np.linalg.norm(rec.h_hat - h_ref) <= 1e-10 * max(np.linalg.norm(h_ref), 1e-300)
+    assert not rec.rank_deficient
+
+
+def test_cosamp_reports_rank_deficient_refit():
+    """Twin columns both survive the prune; the final refit on them is
+    rank deficient and takes the minimum-norm split."""
+    rng = np.random.default_rng(8)
+    mat = rng.standard_normal((12, 6)) + 1j * rng.standard_normal((12, 6))
+    mat[:, 4] = mat[:, 1]
+    y = mat[:, 1] * 2.0
+    rec = cosamp(DenseOperator(mat), y, k=2)
+    assert rec.rank_deficient
+    assert np.allclose(rec.h_hat[[1, 4]], [1.0, 1.0], atol=1e-10)
+    assert rec.residual_norm <= 1e-10
 
 
 class TestBpdn:

@@ -11,7 +11,7 @@ from csra.config import SystemConfig, control_window
 from csra.harness import dense_reference
 from csra.model import PilotBook, build_pilot_book
 from csra.sensing import (SensingOperator, DenseOperator, build_operator,
-                          randomized_multiplier, restricted_lstsq,
+                          gram_solve, randomized_multiplier, restricted_lstsq,
                           rip_constant_exact, rip_sample_complexity,
                           export_dense_csv)
 
@@ -222,6 +222,96 @@ class TestRestrictedLstsq:
         with pytest.raises(ValueError):
             restricted_lstsq(toy_op, np.zeros(toy_op.shape[0]),
                              np.arange(toy_op.shape[0] + 1))
+
+
+def certified_or_lstsq(op, y, support):
+    """The fit cosamp makes on a gather: the certified Gram solve, or
+    restricted_lstsq where the certificate fails. Returns (solution,
+    rank_deficient, certified)."""
+    sub = op.columns(support)
+    z = gram_solve(sub.conj().T @ sub, sub.conj().T @ y)
+    if z is None:
+        full, flagged = restricted_lstsq(op, y, support)
+        return full[support], flagged, False
+    return z, False, True
+
+
+def assert_matches_lstsq(op, y, support):
+    """The fit above equals numpy's SVD lstsq within 1e-10 relative and
+    sets the rank flag as lstsq's rank test does; returns `certified`."""
+    got, flagged, certified = certified_or_lstsq(op, y, support)
+    ref, _, rank, _ = np.linalg.lstsq(op.columns(support), y.astype(complex),
+                                      rcond=None)
+    assert flagged == bool(rank < len(support))
+    assert np.linalg.norm(got - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
+    return certified
+
+
+@st.composite
+def tall_gathers(draw):
+    """Gaussian operators with at least twice as many rows as the support,
+    which keeps the gathered Gram well conditioned."""
+    cols = draw(st.integers(1, 12))
+    rows = draw(st.integers(2 * cols, 40))
+    extra = draw(st.integers(0, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    op = DenseOperator(random_vec(rng, (rows, cols + extra)))
+    support = np.sort(rng.choice(cols + extra, cols, replace=False))
+    return op, random_vec(rng, rows), support
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_gathers())
+def test_gram_solve_matches_svd_solve(case):
+    assert assert_matches_lstsq(*case)
+
+
+@settings(max_examples=50, deadline=None)
+@given(tall_gathers(), st.sampled_from([1.0, 1.0 + 1e-9]))
+def test_twin_columns_take_the_svd_fallback(case, scale):
+    """A duplicated column, or one scaled by 1 + 1e-9, fails the Cholesky
+    certificate; the SVD solve then sets the flag exactly as lstsq does."""
+    op, y, support = case
+    twin = DenseOperator(np.hstack([op.mat, scale * op.mat[:, support[:1]]]))
+    assert not assert_matches_lstsq(twin, y,
+                                    np.append(support, twin.shape[1] - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tall_gathers(), st.floats(-4.0, -2.0), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_near_twin_columns_match_svd_solve(case, log_gap, consistent, seed):
+    """A column b + d * ||b|| * e (e a unit vector, d = 1e-4 .. 1e-2) puts
+    cond(B^H B) near 4 / d^2 = 4e4 .. 4e8, across the certificate's cutoff:
+    certified or not, the fit agrees with lstsq within 1e-10."""
+    op, y, support = case
+    rng = np.random.default_rng(seed)
+    base = op.mat[:, support[0]]
+    e = random_vec(rng, op.shape[0])
+    near = base + 10.0 ** log_gap * np.linalg.norm(base) * e / np.linalg.norm(e)
+    twin = DenseOperator(np.hstack([op.mat, near[:, None]]))
+    wide = np.append(support, twin.shape[1] - 1)
+    if consistent:      # small residual: y close to the span of the gather
+        y = twin.columns(wide) @ random_vec(rng, wide.size) + 1e-3 * y
+    assert_matches_lstsq(twin, y, wide)
+
+
+def test_zero_operator_flags_rank_deficient():
+    with pytest.warns(UserWarning):
+        op = build_operator(toy_cfg(alpha=0.0))
+    y = random_vec(np.random.default_rng(3), op.shape[0])
+    support = np.arange(0, op.shape[1], 7)
+    z, flagged = restricted_lstsq(op, y, support)
+    assert flagged and np.all(z == 0)
+    assert not assert_matches_lstsq(op, y, support)
+
+
+def test_columns_match_the_product_formula_bitwise(toy_op):
+    support = np.random.default_rng(5).choice(toy_op.shape[1], 40, replace=False)
+    users, delays = np.divmod(support, toy_op.t_cp)
+    plain = toy_op.pilots.window_values[users].T * toy_op._dft[:, delays]
+    expected = plain if toy_op._mix is None else toy_op._mix @ plain
+    assert np.array_equal(toy_op.columns(support), expected)
 
 
 class TestRip:
