@@ -10,7 +10,7 @@ from csra import desk_profile
 from csra.harness import SweepSpec, sweep_alpha
 
 cfg = desk_profile()
-spec = SweepSpec("alpha", (0.01, 0.11, 0.31, 0.71, 1.0), trials=40)
+spec = SweepSpec((0.01, 0.11, 0.31, 0.71, 1.0), trials=40)
 rows = sweep_alpha(cfg, spec, out_path="alpha_sweep_demo.csv")
 
 print(f"{'alpha':>6} {'ser':>10} {'p_md':>8} {'p_fa':>8} {'discarded':>9}")

@@ -11,7 +11,7 @@ from csra.harness import SweepSpec, sweep_roc
 
 cfg = desk_profile(alpha=0.7)
 grid = np.logspace(-4, 0.5, 16)
-rows = sweep_roc(cfg, SweepSpec("xi_thr", tuple(grid), trials=60),
+rows = sweep_roc(cfg, SweepSpec(tuple(grid), trials=60),
                  out_path="roc_demo.csv")
 
 print(f"alpha = {cfg.alpha}, {60} trials, {cfg.k2} of {cfg.u_max} active")

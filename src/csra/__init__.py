@@ -12,7 +12,7 @@ from .sensing import (SensingOperator, DenseOperator, RipReport,
                       build_operator, randomized_multiplier, restricted_lstsq,
                       rip_constant_exact, rip_sample_complexity,
                       export_dense_csv)
-from .recovery import RecoveryResult, BpdnConfig, cosamp, bpdn, debias
+from .recovery import RecoveryResult, cosamp, bpdn, debias
 from .detection import (TrialMetrics, detect_active, equalize_demodulate,
                         hard_decisions, tally, roc_sweep)
 from .bounds import (FadingModel, BoundInputs, DetectionBounds, ClampedRate,

@@ -21,6 +21,9 @@ from .recovery import bpdn, cosamp
 from .sensing import build_operator
 
 RATE_UNITS = "nats"
+# adaptive quadrature of the positive-cutoff margin tail integral
+_QUAD_ABS_TOL = 1e-8
+_QUAD_LIMIT = 200
 # e^x overflows, and E1(x) runs into subnormals, near x = 700
 _EXP1_SERIES_FROM = 500.0
 DELTA_MAX = math.sqrt(2.0) - 1.0
@@ -45,8 +48,6 @@ class FadingModel:
     k1: int = 1
     norm_x0: float = 1.0       # point-mass norm value
     power_p0: float = 1.0      # point-mass per-subcarrier power
-    abs_tol: float = 1e-8
-    quad_limit: int = 200
 
     @classmethod
     def from_taps(cls, k1: int) -> "FadingModel":
@@ -82,17 +83,6 @@ class FadingModel:
         return np.sqrt(rng.gamma(self.k1, 1.0 / self.k1, size))
 
     # ---- per-subcarrier power law ------------------------------------------
-
-    def expect_power(self, fn) -> float:
-        """E[fn(P)] by adaptive quadrature (exact for a point mass)."""
-        if self.kind == "point_mass":
-            return float(fn(self.power_p0))
-        from scipy import integrate     # kept off the import path (memory, start-up)
-        val, err = integrate.quad(lambda p: fn(p) * math.exp(-p), 0.0, np.inf,
-                                  epsabs=self.abs_tol, limit=self.quad_limit)
-        if not math.isfinite(val):
-            raise RuntimeError("quadrature over the power law did not converge")
-        return float(val)
 
     def expect_log1p(self, c: float) -> float:
         """E[log(1 + c P)]; under the Exp(1) law this is e^x E1(x), x = 1/c."""
@@ -164,7 +154,7 @@ def margin_tail_integral(xi: float, fading: FadingModel,
             val, _ = integrate.quad(
                 lambda x: fading.norm_pdf(x) / (x - xi) ** 2,
                 xi + cutoff_delta, np.inf,
-                epsabs=fading.abs_tol, limit=fading.quad_limit)
+                epsabs=_QUAD_ABS_TOL, limit=_QUAD_LIMIT)
         except integrate.IntegrationWarning as exc:
             raise RuntimeError(f"tail quadrature did not converge: {exc}") from exc
     return float(val)
@@ -291,24 +281,15 @@ def rate_upper_bound(inputs: BoundInputs, fading: FadingModel) -> float:
 # Corollary gap, throughput, reference SER
 # ---------------------------------------------------------------------------
 
-def pilot_split_rate_gap(alpha: float, fading: FadingModel, samples: int = 10 ** 4,
-                         rng: np.random.Generator | None = None):
+def pilot_split_rate_gap(alpha: float, fading: FadingModel):
     """(lhs, rhs) of the estimator-split inequality
-    E log(1+P) <= E log(1+(1-alpha) P + alpha), both by quadrature with an
-    internal seeded Monte-Carlo cross-check at 3 standard errors."""
+    E log(1+P) <= E log(1+(1-alpha) P + alpha), in closed form: the
+    right side factors as log(1+alpha) + E log(1 + (1-alpha)/(1+alpha) P),
+    so both sides are expect_log1p values."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    if samples < 2:
-        raise ValueError("samples must be >= 2")
-    lhs = fading.expect_power(lambda p: math.log1p(p))
-    rhs = fading.expect_power(lambda p: math.log1p((1.0 - alpha) * p + alpha))
-    if rng is None:
-        rng = np.random.default_rng(123456789)
-    p = fading.sample_power(rng, samples)
-    for value, mc in ((lhs, np.log1p(p)), (rhs, np.log1p((1.0 - alpha) * p + alpha))):
-        se = float(np.std(mc, ddof=1) / math.sqrt(samples))
-        if abs(value - float(np.mean(mc))) > 3.0 * se + 1e-12:
-            raise RuntimeError("quadrature disagrees with Monte-Carlo cross-check")
+    lhs = fading.expect_log1p(1.0)
+    rhs = math.log1p(alpha) + fading.expect_log1p((1.0 - alpha) / (1.0 + alpha))
     return lhs, rhs
 
 

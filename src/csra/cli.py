@@ -135,7 +135,7 @@ def _dispatch(args) -> int:
     cfg = _load_config(args)
 
     if args.command == "link-sim":
-        spec = harness.SweepSpec("alpha", _grid(args.alphas), trials=cfg.trials)
+        spec = harness.SweepSpec(_grid(args.alphas), trials=cfg.trials)
         out = args.out or Path("link_sim.csv")
         harness.sweep_alpha(cfg, spec, out_path=out, threads=args.threads,
                             on_records=_diagnostics_dumper(args.diagnostics, True))
@@ -143,7 +143,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "roc":
-        spec = harness.SweepSpec("xi_thr", _grid(args.xi_grid), trials=cfg.trials)
+        spec = harness.SweepSpec(_grid(args.xi_grid), trials=cfg.trials)
         out = args.out or Path("roc.csv")
         harness.sweep_roc(cfg, spec, out_path=out, threads=args.threads,
                           on_records=_diagnostics_dumper(args.diagnostics, False))

@@ -15,13 +15,6 @@ WINDOW_MODES = ("contiguous", "random")
 SENSING_MODES = ("plain", "randomized")
 SOLVERS = ("cosamp", "bpdn")
 
-# Keys of the flat key-value scenario file. Anything else is an error.
-FILE_KEYS = (
-    "n", "m", "window_mode", "t_cp", "u_max", "k1", "k2", "b_slots",
-    "alpha", "snr_db", "modulation", "bits_per_user", "seed", "trials",
-    "sensing_mode", "solver", "xi_thr",
-)
-
 # spawn_key tags for the per-scenario / per-trial RNG streams
 _SCENARIO_TAG = 0
 _TRIAL_TAG = 1
@@ -56,9 +49,6 @@ class SystemConfig:
 
     xi_thr: float = 0.05        # activity decision: ||h_hat_u||^2 > xi_thr
     solver: str = "cosamp"
-
-    # Outside the scenario-file schema.
-    include_missed_in_ser: bool = True
 
     def __post_init__(self):
         self.validate()
@@ -190,12 +180,13 @@ def slot_plan(cfg: SystemConfig, window: np.ndarray | None = None) -> SlotPlan:
 
 
 # ---------------------------------------------------------------------------
-# Scenario file I/O: flat "key = value" lines, '#' comments, fixed key set.
+# Scenario file I/O: flat "key = value" lines, '#' comments, one key per
+# SystemConfig field.
 # ---------------------------------------------------------------------------
 
-_INT_KEYS = {"n", "m", "t_cp", "u_max", "k1", "k2", "b_slots",
-             "bits_per_user", "seed", "trials"}
-_FLOAT_KEYS = {"alpha", "snr_db", "xi_thr"}
+# key -> value type (int, float or str) of the scenario file. Anything else
+# is an error.
+FILE_KEYS = {f.name: f.type for f in fields(SystemConfig)}
 
 
 def read_config(path) -> SystemConfig:
@@ -215,13 +206,9 @@ def read_config(path) -> SystemConfig:
             values[key] = val
     kwargs = {}
     for key, val in values.items():
+        kind = FILE_KEYS[key]
         try:
-            if key in _INT_KEYS:
-                kwargs[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(val)
-            else:
-                kwargs[key] = val.lower()
+            kwargs[key] = val.lower() if kind is str else kind(val)
         except ValueError as exc:
             raise ConfigError(f"{path}: bad value for {key!r}: {val!r}") from exc
     try:
@@ -241,6 +228,9 @@ def write_config(cfg: SystemConfig, path) -> None:
 def config_hash(cfg: SystemConfig) -> str:
     """Short stable hash over every field that can influence results."""
     parts = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)]
+    # A retired field, always True, keeps its term so that every published
+    # cfg_hash cell and the frozen benchmark references stay valid.
+    parts.append("include_missed_in_ser=True")
     return hashlib.sha256(";".join(parts).encode()).hexdigest()[:12]
 
 

@@ -74,15 +74,13 @@ def equalize_demodulate(y_freq: np.ndarray, h_hat: np.ndarray, plan: SlotPlan,
 
 def tally(truth_active: np.ndarray, detected: np.ndarray, tx_bits: np.ndarray,
           rx_bits: np.ndarray, modulation: str, n_erased: int = 0,
-          discarded: bool = False, seed: int = 0,
-          include_missed: bool = True) -> TrialMetrics:
+          discarded: bool = False, seed: int = 0) -> TrialMetrics:
     """Count detection errors and symbol errors for one trial.
 
     Symbol errors are counted over the true-active users' payloads. Missed
     users' payloads (and erased symbols) count as errors at the guessing
-    rate 1 - 1/|constellation|; with include_missed=False missed users are
-    excluded from the average instead. False-alarm users carry no true bits
-    and only affect n_fa.
+    rate 1 - 1/|constellation|. False-alarm users carry no true bits and
+    only affect n_fa.
     """
     truth = np.asarray(truth_active, dtype=int)
     det = np.asarray(detected, dtype=int)
@@ -108,7 +106,7 @@ def tally(truth_active: np.ndarray, detected: np.ndarray, tx_bits: np.ndarray,
             symbols += n_sym
             errors_det += e
             symbols_det += n_sym
-        elif include_missed:
+        else:
             errors += erasure_rate * n_sym
             symbols += n_sym
     ser = errors / symbols if symbols else float("nan")

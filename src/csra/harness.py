@@ -19,7 +19,7 @@ from .model import (build_pilot_book, draw_activity, draw_channels,
                     draw_data, transmit_receive, circular_convolve)
 from .sensing import (SensingOperator, DenseOperator, build_operator,
                       rip_constant_exact)
-from .recovery import cosamp, bpdn, BpdnConfig
+from .recovery import cosamp, bpdn
 from .detection import detect_active, equalize_demodulate, tally, roc_sweep, TrialMetrics
 from .bounds import (FadingModel, BoundInputs, detection_error_bounds,
                      rate_lower_bound, rate_upper_bound, aloha_throughput,
@@ -33,13 +33,10 @@ from .bounds import (FadingModel, BoundInputs, detection_error_bounds,
 
 @dataclass(frozen=True)
 class SweepSpec:
-    variable: str        # "alpha" | "xi_thr"
-    grid: tuple
+    grid: tuple          # alpha for sweep_alpha, xi_thr for sweep_roc
     trials: int = 1
 
     def __post_init__(self):
-        if self.variable not in ("alpha", "xi_thr"):
-            raise ValueError(f"unknown sweep variable {self.variable!r}")
         g = np.asarray(self.grid, dtype=float)
         if g.size == 0:
             raise ValueError("sweep grid is empty")
@@ -109,7 +106,7 @@ def run_trial(cfg: SystemConfig, trial_index: int,
                                             cfg.modulation)
     metrics = tally(activity.active, detected, frame.tx_bits, rx_bits,
                     cfg.modulation, n_erased=n_erased, discarded=discarded,
-                    seed=trial_index, include_missed=cfg.include_missed_in_ser)
+                    seed=trial_index)
     return TrialRecord(trial_index=trial_index, metrics=metrics,
                        user_energies=rec.user_energies, active=activity.active,
                        residual_norm=rec.residual_norm,
@@ -384,7 +381,7 @@ def _check_corollary() -> CheckResult:
     worst = -math.inf
     for fading in (FadingModel.from_taps(1), FadingModel.from_taps(4)):
         for alpha in np.linspace(0.0, 1.0, 6):
-            lhs, rhs = pilot_split_rate_gap(float(alpha), fading, samples=10 ** 4)
+            lhs, rhs = pilot_split_rate_gap(float(alpha), fading)
             worst = max(worst, lhs - rhs)
             ok &= lhs <= rhs + 1e-6
     return CheckResult("corollary_inequality", ok, f"max lhs-rhs {worst:.3e}")

@@ -73,12 +73,6 @@ class ChannelProfile:
     def per_user(self, u: int) -> np.ndarray:
         return self.compound[u * self.t_cp:(u + 1) * self.t_cp]
 
-    def taps(self, u: int):
-        """(delays, gains) of user u's nonzero taps."""
-        h = self.per_user(u)
-        delays = np.flatnonzero(h)
-        return delays, h[delays]
-
     def freq_gains(self, u: int, n: int) -> np.ndarray:
         """Per-subcarrier channel gain sqrt(n) * h_hat_u(f), length n."""
         return np.fft.fft(self.per_user(u), n)

@@ -28,16 +28,6 @@ class RecoveryResult:
     history: list = field(default_factory=list)  # (iteration, residual, nnz)
 
 
-@dataclass(frozen=True)
-class BpdnConfig:
-    max_iter: int = 20000
-    feas_tol: float = 1e-3
-    obj_tol: float = 1e-3
-    check_every: int = 25
-    feas_floor: float = 1e-6    # absolute feasibility target, in units of ||y||;
-                                # governs how tightly eps = 0 is honored
-
-
 def _energies(h: np.ndarray, u_max: int, t_cp: int) -> np.ndarray:
     return np.sum(np.abs(h.reshape(u_max, t_cp)) ** 2, axis=1)
 
@@ -92,36 +82,41 @@ def _merged_fit(op, y: np.ndarray, merged: np.ndarray, k: int):
     return support, coef, flagged, y - cols[:, keep] @ coef
 
 
-def cosamp(op, y: np.ndarray, k: int, max_iter: int = 50, tol: float = 0.0,
+COSAMP_MAX_ITER = 50
+
+
+def cosamp(op, y: np.ndarray, k: int,
            h_true: np.ndarray | None = None) -> RecoveryResult:
     """Standard CoSaMP: proxy top-2k merge, restricted least squares, prune
     to the k largest merged coefficients, refit on the pruned support. Both
     fits solve the normal equations of one gather per iteration by a
     certified Cholesky (`sensing.gram_solve`), with `restricted_lstsq`
     (SVD, minimum norm) as the fallback; rank_deficient reports the final
-    refit. Stops on residual <= max(tol, 1e-12 ||y||), stagnation
-    (relative change < 1e-6), or max_iter; the floor ends a noiseless
-    recovery at its first exact iterate, past which the stopping tests
-    would compare round-off. A step that would increase the residual is
-    rolled back, so the logged residuals are non-increasing. Output is at
-    most k-sparse."""
+    refit. Stops on residual <= 1e-12 ||y||, stagnation (relative change
+    < 1e-6), or COSAMP_MAX_ITER iterations; the first test ends a
+    noiseless recovery at its first exact iterate, past which the stopping
+    tests would compare round-off. A step that would increase the residual
+    is rolled back, so the logged residuals are non-increasing. Output is
+    at most k-sparse. The merged support holds up to min(3k, N) columns,
+    which must fit the m measurements."""
     y = np.asarray(y, dtype=complex)
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")
-    if not 1 <= k <= op.shape[0]:
-        raise ValueError("need 1 <= k <= m")
+    m, n_cols = op.shape
+    if k < 1 or min(3 * k, n_cols) > m:
+        raise ValueError(f"need k >= 1 and min(3k, N) <= m (the merged "
+                         f"support); got k = {k}, N = {n_cols}, m = {m}")
 
-    n_cols = op.shape[1]
     h = np.zeros(n_cols, dtype=complex)
     support = np.array([], dtype=int)
     flagged = False
     residual = y
     res_norm = float(np.linalg.norm(residual))
     history = [(0, res_norm, 0)]
-    stop = max(tol, 1e-12 * res_norm)
+    stop = 1e-12 * res_norm
     converged = res_norm <= stop
     it = 0
-    while not converged and it < max_iter:
+    while not converged and it < COSAMP_MAX_ITER:
         it += 1
         proxy = op.adjoint(residual)
         merged = np.union1d(_top(np.abs(proxy), 2 * k), support)
@@ -153,6 +148,15 @@ def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
 # iterates live on the y/||y|| scale) and the over-relaxation in (0, 2).
 DR_STEP = 0.03
 DR_RELAX = 1.8
+# Stopping rule, tested every DR_CHECK_EVERY iterations up to DR_MAX_ITER:
+# the residual is within (1 + DR_FEAS_TOL) eps, or within DR_FEAS_FLOOR
+# ||y|| (which governs how tightly eps = 0 is honored), and the l1
+# objective moved by at most DR_OBJ_TOL relative since the last test.
+DR_MAX_ITER = 20000
+DR_CHECK_EVERY = 25
+DR_FEAS_TOL = 1e-3
+DR_FEAS_FLOOR = 1e-6
+DR_OBJ_TOL = 1e-5
 _NEWTON_MAX = 50
 _ROUNDOFF = np.finfo(float).eps
 
@@ -194,7 +198,7 @@ def _ball_weights(lam: np.ndarray, s: np.ndarray, eps: float,
     return s * (mu / (1.0 + mu * lam)), mu
 
 
-def bpdn(op, y: np.ndarray, eps: float, solver_cfg: BpdnConfig | None = None,
+def bpdn(op, y: np.ndarray, eps: float,
          h_true: np.ndarray | None = None) -> RecoveryResult:
     """min ||h||_1 subject to ||A h - y|| <= eps.
 
@@ -212,7 +216,6 @@ def bpdn(op, y: np.ndarray, eps: float, solver_cfg: BpdnConfig | None = None,
         raise ValueError("y contains non-finite values")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    cfg = solver_cfg or BpdnConfig()
     n_cols = op.shape[1]
 
     y_norm = float(np.linalg.norm(y))
@@ -233,11 +236,11 @@ def bpdn(op, y: np.ndarray, eps: float, solver_cfg: BpdnConfig | None = None,
     az = np.zeros(op.shape[0], dtype=complex)
     mu = 0.0
     history = []
-    feas_target = max(epsn * (1.0 + cfg.feas_tol), cfg.feas_floor)
+    feas_target = max(epsn * (1.0 + DR_FEAS_TOL), DR_FEAS_FLOOR)
     obj_prev = np.inf
     converged = False
     it = 0
-    while it < cfg.max_iter:
+    while it < DR_MAX_ITER:
         it += 1
         # x = prox(z); v = 2x - z; p = P(v); z += relax (p - x), written as
         # increments p - x = (x - z) - A^H V c and A p - A x likewise
@@ -252,12 +255,12 @@ def bpdn(op, y: np.ndarray, eps: float, solver_cfg: BpdnConfig | None = None,
             daz -= vecs @ (lam * c)
         z += DR_RELAX * dz
         az += DR_RELAX * daz
-        if it % cfg.check_every == 0 or it == cfg.max_iter:
+        if it % DR_CHECK_EVERY == 0 or it == DR_MAX_ITER:
             feas = float(np.linalg.norm(ax - yn))
             obj = float(np.sum(np.abs(x)))
             history.append((it, feas * y_norm, int(np.count_nonzero(x))))
             if feas <= feas_target and \
-                    abs(obj - obj_prev) <= max(cfg.obj_tol * 1e-2, 1e-9) * max(obj, 1e-15):
+                    abs(obj - obj_prev) <= DR_OBJ_TOL * max(obj, 1e-15):
                 converged = True
                 break
             obj_prev = obj

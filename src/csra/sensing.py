@@ -53,18 +53,22 @@ def _window_mixer(window: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
     return np.fft.fft(xi)[(w[:, None] - w[None, :]) % n] / n
 
 
+# materialize() is a toy-scale oracle; the LTE operator would take
+# 839 x 30000 complex entries (about 400 MB).
+MATERIALIZE_COL_CAP = 4096
+
+
 class SensingOperator:
     """Matrix-free compound measurement operator with exact adjoint."""
 
     def __init__(self, pilots: PilotBook, t_cp: int,
-                 xi: np.ndarray | None = None, col_cap: int = 4096):
+                 xi: np.ndarray | None = None):
         self.pilots = pilots
         self.window = pilots.window
         self.n = pilots.n
         self.u_max = pilots.u_max
         self.t_cp = t_cp
         self.m = len(self.window)
-        self.col_cap = col_cap
         # a trivial multiplier collapses to the plain path (bit-identical)
         if xi is not None and np.all(xi == 1):
             xi = None
@@ -133,9 +137,9 @@ class SensingOperator:
     def materialize(self) -> np.ndarray:
         """Full dense matrix; toy-scale oracle only."""
         n_cols = self.u_max * self.t_cp
-        if n_cols > self.col_cap:
+        if n_cols > MATERIALIZE_COL_CAP:
             raise ValueError(f"materialize refused: {n_cols} columns exceeds "
-                             f"cap {self.col_cap}")
+                             f"cap {MATERIALIZE_COL_CAP}")
         return self.columns(np.arange(n_cols))
 
 

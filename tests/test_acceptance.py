@@ -62,7 +62,7 @@ def test_criterion_02_ser_u_shape(announce):
     """SER vs alpha reproduces the one-shot curve's shape: starving the
     pilot starves the ell1 estimate, starving the data starves the slicer."""
     cfg = desk_profile()
-    spec = SweepSpec("alpha", (0.01, 0.31, 1.0), trials=200)
+    spec = SweepSpec((0.01, 0.31, 1.0), trials=200)
     rows = sweep_alpha(cfg, spec)
     ser = {row[0]: row[1] for row in rows}
     ok = ser[0.31] < ser[0.01] / 3 and ser[0.31] < ser[1.0] / 50

@@ -236,6 +236,19 @@ class TestCorollaryGap:
                 lhs, rhs = pilot_split_rate_gap(float(alpha), fading)
                 assert lhs <= rhs + 1e-6
 
+    @pytest.mark.parametrize("k1", [1, 4])
+    def test_monte_carlo_cross_check(self, k1):
+        # both sides against 10^4 seeded draws of the power law, within 3
+        # standard errors
+        fading = FadingModel.from_taps(k1)
+        p = fading.sample_power(np.random.default_rng(123456789), 10 ** 4)
+        for alpha in np.linspace(0.0, 1.0, 11):
+            lhs, rhs = pilot_split_rate_gap(float(alpha), fading)
+            for value, mc in ((lhs, np.log1p(p)),
+                              (rhs, np.log1p((1.0 - alpha) * p + alpha))):
+                se = float(np.std(mc, ddof=1) / math.sqrt(p.size))
+                assert abs(value - float(np.mean(mc))) <= 3.0 * se + 1e-12
+
 
 class TestThroughput:
     def test_zero_load(self):

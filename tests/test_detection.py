@@ -104,11 +104,6 @@ class TestTally:
         m = tally([0, 1, 2], list(range(6)), self.tx, self.rx, "bpsk")
         assert m.n_fa == 3
 
-    def test_exclude_missed_flag(self):
-        self.rx[1] = self.tx[1]
-        m = tally([1, 2], [1], self.tx, self.rx, "bpsk", include_missed=False)
-        assert m.ser == 0.0 and m.n_md == 1
-
     def test_k2_zero_gives_nan(self):
         m = tally([], [], self.tx, self.rx, "bpsk")
         assert np.isnan(m.ser)

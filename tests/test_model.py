@@ -88,7 +88,7 @@ class TestChannels:
         ch = draw_channels(cfg, act, rng)
         assert np.count_nonzero(ch.compound) == cfg.k1 * cfg.k2
         for u in act.active:
-            delays, gains = ch.taps(u)
+            delays = np.flatnonzero(ch.per_user(u))
             assert len(delays) == cfg.k1
             assert delays.max() < cfg.t_cp
 
@@ -99,7 +99,7 @@ class TestChannels:
         rng = np.random.default_rng(2)
         ch = draw_channels(cfg, draw_activity(cfg, rng), rng)
         for u in range(2):
-            delays, _ = ch.taps(u)
+            delays = np.flatnonzero(ch.per_user(u))
             assert delays.max() < 300
 
     def test_mean_energy(self):

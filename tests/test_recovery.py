@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from csra.config import SystemConfig, trial_rng
 from csra.model import draw_activity, draw_channels
-from csra.recovery import _top, cosamp, bpdn, debias, BpdnConfig
+from csra import recovery
+from csra.recovery import _top, cosamp, bpdn, debias
 from csra.sensing import DenseOperator, build_operator
 
 
@@ -55,6 +56,16 @@ class TestCosamp:
         y = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         rec = cosamp(DenseOperator(np.eye(12)), y, k=12)
         assert np.allclose(rec.h_hat, y, atol=1e-10)
+
+    def test_rejects_merged_support_beyond_m(self):
+        # the merged support holds up to min(3k, N) columns
+        rng = np.random.default_rng(2)
+        op = DenseOperator(rng.standard_normal((12, 40)))
+        y = rng.standard_normal(12) + 0j
+        for k in (0, 5, 12):
+            with pytest.raises(ValueError, match=r"min\(3k, N\) <= m"):
+                cosamp(op, y, k=k)
+        assert cosamp(op, y, k=4).iterations >= 1
 
     def test_noiseless_exact_support(self):
         cfg = toy_cfg()
@@ -225,10 +236,11 @@ class TestBpdn:
             scaled = bpdn(op, c * y, c * eps)
             assert np.allclose(scaled.h_hat, c * base.h_hat, rtol=1e-12, atol=1e-12)
 
-    def test_nonconvergence_is_reported(self):
+    def test_nonconvergence_is_reported(self, monkeypatch):
+        monkeypatch.setattr(recovery, "DR_MAX_ITER", 3)
         mat, _, y, eps = bpdn_reference_instance()
-        rec = bpdn(DenseOperator(mat), y, eps, BpdnConfig(max_iter=3))
-        assert not rec.converged
+        rec = bpdn(DenseOperator(mat), y, eps)
+        assert not rec.converged and rec.iterations == 3
 
     def test_rejects_negative_eps(self):
         op, _, y = toy_instance(toy_cfg(), 0)
@@ -262,10 +274,10 @@ def bpdn_problems(draw):
 @given(bpdn_problems())
 def test_bpdn_feasible_and_homogeneous(problem):
     op, y, eps, c = problem
-    cfg = BpdnConfig()
     rec = bpdn(op, y, eps)
     if rec.converged:
-        target = max(eps * (1 + cfg.feas_tol), cfg.feas_floor * np.linalg.norm(y))
+        target = max(eps * (1 + recovery.DR_FEAS_TOL),
+                     recovery.DR_FEAS_FLOOR * np.linalg.norm(y))
         assert rec.residual_norm <= target * (1 + 1e-9)
     scaled = bpdn(op, c * y, c * eps)
     assert scaled.converged == rec.converged

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from csra import sensing
 from csra.config import SystemConfig, control_window
 from csra.harness import dense_reference
 from csra.model import PilotBook, build_pilot_book
@@ -160,9 +161,10 @@ def test_operator_matches_fft_formulas(case):
 
 
 class TestMaterialize:
-    def test_column_cap(self):
+    def test_column_cap(self, monkeypatch):
         cfg = toy_cfg()
-        op = SensingOperator(build_pilot_book(cfg), cfg.t_cp, col_cap=16)
+        op = SensingOperator(build_pilot_book(cfg), cfg.t_cp)
+        monkeypatch.setattr(sensing, "MATERIALIZE_COL_CAP", 16)
         with pytest.raises(ValueError):
             op.materialize()
 
