@@ -7,12 +7,13 @@ xi_energy = xi_norm**2 when comparing the two.
 """
 
 import math
+import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
 
 from .config import SystemConfig, slot_plan, trial_rng
 from .detection import detect_active
@@ -26,6 +27,11 @@ _QUAD_ABS_TOL = 1e-8
 _QUAD_LIMIT = 200
 # e^x overflows, and E1(x) runs into subnormals, near x = 700
 _EXP1_SERIES_FROM = 500.0
+# Euler's constant, the double nearest to it; the double below it (written
+# 0.5772156649015328) breaks bit-equality with scipy.special.exp1 below x = 1
+_EULER_GAMMA = 0.5772156649015329
+# (k, (k + 1.0)**2) for E1XB's 25 series terms; the squares are exact
+_E1XB_SERIES = tuple((k, (k + 1.0) ** 2) for k in range(1, 26))
 DELTA_MAX = math.sqrt(2.0) - 1.0
 PFA_VARIANTS = ("derivation_consistent", "as_printed")
 
@@ -51,6 +57,10 @@ class FadingModel:
 
     @classmethod
     def from_taps(cls, k1: int) -> "FadingModel":
+        try:
+            k1 = operator.index(k1)     # the norm law is Erlang: integer k1 only
+        except TypeError:
+            raise ValueError(f"k1 must be an integer; got {k1!r}") from None
         if k1 < 1:
             raise ValueError("k1 must be >= 1")
         return cls(kind="gamma_exp", k1=k1)
@@ -66,7 +76,7 @@ class FadingModel:
     def norm_cdf(self, x: float) -> float:
         if self.kind == "point_mass":
             return float(x >= self.norm_x0)
-        return float(special.gammainc(self.k1, self.k1 * max(x, 0.0) ** 2))
+        return _erlang_cdf(self.k1, self.k1 * max(x, 0.0) ** 2)
 
     def norm_pdf(self, x: float) -> float:
         if self.kind == "point_mass":
@@ -76,11 +86,6 @@ class FadingModel:
         k = self.k1
         return 2.0 * x * k * math.exp((k - 1) * math.log(k * x * x) - k * x * x
                                       - math.lgamma(k))
-
-    def sample_norm(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "point_mass":
-            return np.full(size, self.norm_x0)
-        return np.sqrt(rng.gamma(self.k1, 1.0 / self.k1, size))
 
     # ---- per-subcarrier power law ------------------------------------------
 
@@ -96,7 +101,7 @@ class FadingModel:
             return math.log1p(c * self.power_p0)
         x = 1.0 / c
         if x < _EXP1_SERIES_FROM:
-            return math.exp(x) * float(special.exp1(x))
+            return math.exp(x) * _exp1(x)
         # asymptotic series sum_k (-1)^k k! / x^(k+1): past x = 500 its
         # terms fall below 1e-17 of the sum within 7 terms, long before
         # they would start to grow (at k ~ x)
@@ -107,10 +112,61 @@ class FadingModel:
             term *= -k / x
         return total
 
-    def sample_power(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.kind == "point_mass":
-            return np.full(size, self.power_p0)
-        return rng.exponential(1.0, size=size)
+
+def _exp1(x: float) -> float:
+    """E1(x) for x > 0, ported line for line from E1XB (Zhang & Jin,
+    Computation of Special Functions, 1996), the routine behind
+    scipy.special.exp1, whose values it reproduces bit for bit."""
+    if x <= 1.0:
+        e1 = r = 1.0
+        for k, square in _E1XB_SERIES:
+            r = -r * k * x / square
+            e1 += r
+            if abs(r) <= abs(e1) * 1e-15:
+                break
+        return -_EULER_GAMMA - math.log(x) + x * e1
+    t0 = 0.0
+    for k in range(20 + int(80.0 / x), 0, -1):
+        t0 = k / (1.0 + k / (x + t0))
+    return math.exp(-x) * (1.0 / (x + t0))
+
+
+def _poisson_pmf(j: int, x: float) -> float:
+    """e^-x x^j / j!: a running product while e^-x is a normal float (each
+    partial product is itself a Poisson probability, so none overflows),
+    through logarithms past that."""
+    if x < 700.0:
+        p = math.exp(-x)
+        for i in range(1, j + 1):
+            p *= x / i
+        return p
+    return math.exp(j * math.log(x) - x - math.lgamma(j + 1.0))
+
+
+@lru_cache(maxsize=256)     # a bound row reads F(xi) twice, a table one xi
+def _erlang_cdf(k: int, x: float) -> float:
+    """P(k, x), the regularized lower incomplete gamma function at integer
+    k (scipy.special.gammainc(k, x)): the Poisson tail e^-x sum_{j>=k} x^j/j!
+    below x = k + 1, else 1 - e^-x sum_{j<k} x^j/j!. Each sum starts from its
+    largest term, and the side summed is never close to 1, so neither the
+    sums nor the subtraction cancel."""
+    if x <= 0.0:
+        return 0.0
+    if math.isinf(x):
+        return 1.0
+    if x < k + 1:
+        term = total = _poisson_pmf(k, x)
+        j = k
+        while term > total * 1e-17:
+            j += 1
+            term *= x / j
+            total += term
+        return total
+    term = total = _poisson_pmf(k - 1, x)
+    for j in range(k - 1, 0, -1):
+        term *= j / x
+        total += term
+    return 1.0 - total
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +230,8 @@ class BoundInputs:
     k2: int
     xi: float                                   # channel-norm threshold
     pfa_variant: str = "derivation_consistent"
+    # the stability constant all three bounds of a row use, computed once
+    c1: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.delta_2k < DELTA_MAX:
@@ -186,6 +244,7 @@ class BoundInputs:
             raise ValueError("xi and sigma2 must be >= 0")
         if self.pfa_variant not in PFA_VARIANTS:
             raise ValueError(f"pfa_variant not in {PFA_VARIANTS}")
+        object.__setattr__(self, "c1", bpdn_stability_constant(self.delta_2k))
 
 
 @dataclass(frozen=True)
@@ -207,7 +266,7 @@ def detection_error_bounds(inputs: BoundInputs, fading: FadingModel,
     sigma^2); derivation-consistent (default), c1^2 m sigma^2 / (alpha xi).
     Values are clamped to [0, 1] with the raw values retained.
     """
-    c1 = bpdn_stability_constant(inputs.delta_2k)
+    c1 = inputs.c1
     coef = c1 ** 2 * inputs.m * inputs.sigma2 / (inputs.alpha * inputs.k2)
     divergent = False
     if coef == 0.0:
@@ -252,7 +311,7 @@ def rate_lower_bound(inputs: BoundInputs, fading: FadingModel,
     """
     if not 0.0 <= pmd <= 1.0:
         raise ValueError("pmd must be in [0, 1]")
-    c1 = bpdn_stability_constant(inputs.delta_2k)
+    c1 = inputs.c1
     if fading.norm_cdf(inputs.xi) < 1.0:
         c = (math.inf if inputs.sigma2 == 0.0 and inputs.alpha < 1.0
              else (1.0 - inputs.alpha) / inputs.sigma2 if inputs.sigma2 > 0 else 0.0)
@@ -268,7 +327,7 @@ def rate_lower_bound(inputs: BoundInputs, fading: FadingModel,
 def rate_upper_bound(inputs: BoundInputs, fading: FadingModel) -> float:
     """Achievable-rate upper bound per subcarrier:
     E[log(1 + (1-a) P / s2 / (1 + c1^2 m/(n a)))]."""
-    c1 = bpdn_stability_constant(inputs.delta_2k)
+    c1 = inputs.c1
     denom = 1.0 + c1 ** 2 * inputs.m / (inputs.n * inputs.alpha)
     if inputs.alpha == 1.0:
         return 0.0

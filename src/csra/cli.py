@@ -92,18 +92,35 @@ def _load_config(args) -> SystemConfig:
     return cfg.with_(**overrides) if overrides else cfg
 
 
-def _diagnostics_dumper(directory: Path | None, per_alpha: bool):
-    """on_records callback writing one solver trace per trial, or None."""
-    if directory is None:
-        return None
+def _run_observer(directory: Path | None, per_alpha: bool):
+    """(on_records, batches): the callback keeps each grid point's
+    aggregate in `batches` and, given a directory, writes one solver trace
+    per trial into it."""
+    batches = []
 
-    def dump(cfg, records):
+    def observe(cfg, records):
+        batches.append(harness.aggregate(records))
+        if directory is None:
+            return
         directory.mkdir(parents=True, exist_ok=True)
         prefix = f"alpha{cfg.alpha}_" if per_alpha else ""
         for rec in records:
             harness.dump_recovery_diagnostics(
                 rec, directory / f"{prefix}trial{rec.trial_index:05d}.csv")
-    return dump
+    return observe, batches
+
+
+def _report_solves(command: str, batches: list[dict]) -> None:
+    """One stderr line on the run's solves; the CSV stays as it is."""
+    trials = sum(b["trials"] for b in batches)
+    mean = (sum(b["iterations_mean"] * b["trials"] for b in batches) / trials
+            if trials else float("nan"))
+    print(f"{command}: {trials} trials, "
+          f"{sum(b['nonconverged'] for b in batches)} non-converged solves, "
+          f"iterations mean {mean:.1f} max "
+          f"{max((b['iterations_max'] for b in batches), default=0)}, "
+          f"{sum(b['elapsed'] for b in batches):.2f} s in trials",
+          file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -137,16 +154,20 @@ def _dispatch(args) -> int:
     if args.command == "link-sim":
         spec = harness.SweepSpec(_grid(args.alphas), trials=cfg.trials)
         out = args.out or Path("link_sim.csv")
+        observe, batches = _run_observer(args.diagnostics, True)
         harness.sweep_alpha(cfg, spec, out_path=out, threads=args.threads,
-                            on_records=_diagnostics_dumper(args.diagnostics, True))
+                            on_records=observe)
+        _report_solves(args.command, batches)
         print(f"wrote {out}")
         return 0
 
     if args.command == "roc":
         spec = harness.SweepSpec(_grid(args.xi_grid), trials=cfg.trials)
         out = args.out or Path("roc.csv")
+        observe, batches = _run_observer(args.diagnostics, False)
         harness.sweep_roc(cfg, spec, out_path=out, threads=args.threads,
-                          on_records=_diagnostics_dumper(args.diagnostics, False))
+                          on_records=observe)
+        _report_solves(args.command, batches)
         print(f"wrote {out}")
         return 0
 

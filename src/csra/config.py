@@ -7,6 +7,7 @@ remaining subcarriers are divided into b_slots frequency slots for data.
 
 from dataclasses import dataclass, fields, replace
 import hashlib
+from operator import attrgetter
 
 import numpy as np
 
@@ -225,13 +226,16 @@ def write_config(cfg: SystemConfig, path) -> None:
             f.write(f"{key} = {getattr(cfg, key)}\n")
 
 
+# The hashed text: "key=repr(value)" for every field, joined by ";". A
+# retired field, always True, keeps its term so that every published
+# cfg_hash cell and the frozen benchmark references stay valid.
+_HASH_TEXT = ";".join(f"{key}=%r" for key in FILE_KEYS) + ";include_missed_in_ser=True"
+_HASH_VALUES = attrgetter(*FILE_KEYS)
+
+
 def config_hash(cfg: SystemConfig) -> str:
     """Short stable hash over every field that can influence results."""
-    parts = [f"{f.name}={getattr(cfg, f.name)!r}" for f in fields(cfg)]
-    # A retired field, always True, keeps its term so that every published
-    # cfg_hash cell and the frozen benchmark references stay valid.
-    parts.append("include_missed_in_ser=True")
-    return hashlib.sha256(";".join(parts).encode()).hexdigest()[:12]
+    return hashlib.sha256((_HASH_TEXT % _HASH_VALUES(cfg)).encode()).hexdigest()[:12]
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from csra.bounds import (FadingModel, BoundInputs, bpdn_stability_constant,
                          rate_lower_bound, rate_upper_bound,
                          pilot_split_rate_gap, aloha_throughput,
                          ser_rayleigh_bpsk, simulated_ergodic_rate,
-                         noise_ball_radius, DELTA_MAX)
+                         noise_ball_radius, DELTA_MAX, _EXP1_SERIES_FROM,
+                         _erlang_cdf, _exp1)
 
 
 def explog1p_exponential(c):
@@ -61,14 +62,6 @@ class TestFadingModel:
                                                        rel=1e-12, abs=0)
         assert fading.norm_pdf(0.0) == 0.0 and fading.norm_cdf(-1.0) == 0.0
 
-    @pytest.mark.parametrize("k1", [1, 2, 5])
-    def test_sample_norm_keeps_the_scipy_stream(self, k1):
-        from scipy import stats
-        old = np.sqrt(stats.gamma(a=k1, scale=1.0 / k1).rvs(
-            size=1000, random_state=np.random.default_rng(99)))
-        new = FadingModel.from_taps(k1).sample_norm(np.random.default_rng(99), 1000)
-        assert np.array_equal(new, old)
-
     def test_point_mass_cdf(self):
         fading = FadingModel.point_mass(2.0)
         assert fading.norm_cdf(1.9) == 0.0 and fading.norm_cdf(2.0) == 1.0
@@ -81,6 +74,84 @@ class TestFadingModel:
             ref, _ = quad(lambda p: math.log1p(c * p) * math.exp(-p), 0, np.inf,
                           epsabs=0, epsrel=1e-13, limit=200)
             assert fading.expect_log1p(c) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k1", [2.5, 4.0, "4", None])
+    def test_from_taps_rejects_non_integer_k1(self, k1):
+        with pytest.raises(ValueError):
+            FadingModel.from_taps(k1)
+
+    def test_from_taps_accepts_numpy_integers(self):
+        assert FadingModel.from_taps(np.int64(3)) == FadingModel.from_taps(3)
+
+
+class TestSpecialFunctions:
+    """The numpy-only E1 and Erlang CDF against their scipy.special oracles."""
+
+    def test_exp1_is_scipy_bit_for_bit(self):
+        # a dense log grid, plus both sides of the series/continued-fraction
+        # switch at x = 1 and of _EXP1_SERIES_FROM, where expect_log1p
+        # leaves E1 for its asymptotic series
+        edge = _EXP1_SERIES_FROM
+        xs = np.concatenate([
+            np.geomspace(1e-10, edge, 60001)[:-1],
+            np.linspace(0.9, 1.1, 2001),
+            [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)],
+            np.linspace(edge - 1.0, edge + 1.0, 201),
+            [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1e3)],
+        ])
+        got = np.array([_exp1(float(x)) for x in xs])
+        assert np.array_equal(got, exp1(xs))
+
+    def test_expect_log1p_is_exp_times_exp1_below_the_switch(self):
+        fading = FadingModel.from_taps(1)
+        for c in (1e9, 3.0, 1.0, 0.7, 0.013, 1.0 / 499.9):
+            x = 1.0 / c
+            assert fading.expect_log1p(c) == math.exp(x) * exp1(x)
+
+    @pytest.mark.parametrize("k1", range(1, 13))
+    def test_erlang_cdf_matches_scipy_gammainc(self, k1):
+        from scipy.special import gammainc
+        near = k1 + np.array([-1.0, -0.5, -1e-9, 0.0, 1e-9, 0.5, 1.0 - 1e-12, 1.0,
+                              1.0 + 1e-12, 1.5, 2.0])
+        xs = np.concatenate([[0.0, 1e-300, 1e-10, 700.0], near,
+                             np.geomspace(1e-6, k1 + 1.0, 200),
+                             np.linspace(k1 + 1.0, 60.0, 200)])
+        for x in xs:
+            assert _erlang_cdf(k1, float(x)) == pytest.approx(
+                gammainc(k1, x), rel=1e-13, abs=0), x
+
+    def test_erlang_cdf_against_exact_arithmetic(self):
+        # the Poisson tail e^-x sum_{j>=k} x^j/j! in 60-digit decimals at the
+        # exact binary x: the CDF keeps a few ulps on both sides of x = k + 1,
+        # where a branch point moved down to (k + 1)/2 costs 1e-14
+        from decimal import Decimal, localcontext
+
+        def exact(k, x):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                big_x = Decimal(x)
+                term = Decimal(1)
+                for j in range(1, k + 1):
+                    term = term * big_x / j
+                total, j = Decimal(0), k
+                while term > total * Decimal("1e-45"):
+                    total += term
+                    j += 1
+                    term = term * big_x / j
+                return float((-big_x).exp() * total)
+
+        for k1 in range(1, 13):
+            for x in np.concatenate([np.geomspace(1e-3, 3.0 * k1 + 3.0, 120),
+                                     k1 + 1.0 + np.linspace(-2.0, 2.0, 21)]):
+                assert _erlang_cdf(k1, float(x)) == pytest.approx(
+                    exact(k1, float(x)), rel=3e-15, abs=0), (k1, x)
+
+    def test_erlang_cdf_edges(self):
+        assert _erlang_cdf(3, -1.0) == 0.0 and _erlang_cdf(3, math.inf) == 1.0
+        assert math.isnan(_erlang_cdf(3, math.nan))
+        # far past e^-x underflow both sums still start from a finite term
+        assert _erlang_cdf(2000, 2000.0) == pytest.approx(0.5, abs=0.01)
+        assert _erlang_cdf(5, 1e6) == 1.0
 
 
 class TestMarginTailIntegral:
@@ -105,7 +176,8 @@ class TestMarginTailIntegral:
         fading = FadingModel.from_taps(k1)
         value = margin_tail_integral(0.0, fading)
         assert value == k1 / (k1 - 1)
-        inv = 1.0 / fading.sample_norm(np.random.default_rng(k1), 10 ** 6) ** 2
+        norm = np.sqrt(np.random.default_rng(k1).gamma(k1, 1 / k1, 10 ** 6))
+        inv = 1.0 / norm ** 2
         assert abs(value - inv.mean()) <= 3.0 * inv.std(ddof=1) / 1e3
 
     def test_fixed_cutoff_matches_monte_carlo(self):
@@ -113,7 +185,7 @@ class TestMarginTailIntegral:
         fading = FadingModel.from_taps(2)
         xi = 0.5
         value = margin_tail_integral(xi, fading, cutoff_delta=0.1)
-        x = fading.sample_norm(np.random.default_rng(2024), 10 ** 6)
+        x = np.sqrt(np.random.default_rng(2024).gamma(2, 1 / 2, 10 ** 6))
         mc = np.where(x > xi + 0.1, 1.0 / (x - xi) ** 2, 0.0).mean()
         assert value == pytest.approx(mc, rel=0.02)
 
@@ -241,7 +313,7 @@ class TestCorollaryGap:
         # both sides against 10^4 seeded draws of the power law, within 3
         # standard errors
         fading = FadingModel.from_taps(k1)
-        p = fading.sample_power(np.random.default_rng(123456789), 10 ** 4)
+        p = np.random.default_rng(123456789).exponential(1.0, 10 ** 4)
         for alpha in np.linspace(0.0, 1.0, 11):
             lhs, rhs = pilot_split_rate_gap(float(alpha), fading)
             for value, mc in ((lhs, np.log1p(p)),

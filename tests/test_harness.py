@@ -297,6 +297,19 @@ class TestValidation:
         checks = validate()
         assert all(c.passed for c in checks), [c for c in checks if not c.passed]
 
+    def test_certificate_check_certifies_every_draw(self):
+        check = harness._check_bpdn_certificate()
+        entries = check.detail.split("; ")
+        assert check.passed and len(entries) == 5
+        assert all("<=" in e for e in entries), entries
+
+    def test_certificate_check_fails_when_no_draw_certifies(self, monkeypatch):
+        # 16 x 20 draws all have delta_4 above sqrt(2) - 1
+        monkeypatch.setattr(harness, "_CERTIFICATE_SHAPE", (16, 20))
+        check = harness._check_bpdn_certificate()
+        assert not check.passed
+        assert check.detail.count("uncertified") == 5, check.detail
+
     def test_adjoint_check_catches_sign_flip(self):
         op = build_operator(toy_cfg())
         rng = np.random.default_rng(31)
@@ -376,6 +389,35 @@ class TestCli:
         assert traced.read_bytes() == plain.read_bytes()
         assert len(list((tmp_path / "diag").glob("*trial*.csv"))) == solves
 
+    @pytest.mark.parametrize("command, grid, alphas", [
+        ("link-sim", ["--alphas", "0.4,0.9"], (0.4, 0.9)),
+        ("roc", ["--xi-grid", "0.01,0.5"], (0.5,))])
+    def test_run_reports_its_solves_on_stderr(self, tmp_path, capsys, command,
+                                              grid, alphas):
+        cfg = toy_cfg(trials=3)
+        cfg_path = tmp_path / "scenario.cfg"
+        write_config(cfg, cfg_path)
+        out = tmp_path / "run.csv"
+        assert cli.main([command, "--config", str(cfg_path), *grid,
+                         "--out", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        records = [r for a in alphas for r in run_trials(cfg.with_(alpha=a), 3)]
+        agg = aggregate(records)
+        assert agg["trials"] == 3 * len(alphas)
+        assert agg["iterations_max"] == max(r.solver_iterations for r in records)
+        assert err[0].startswith(
+            f"{command}: {agg['trials']} trials, {agg['nonconverged']} "
+            f"non-converged solves, iterations mean {agg['iterations_mean']:.1f} "
+            f"max {agg['iterations_max']}, ")
+        assert err[0].endswith(" s in trials")
+        # the CSV is byte for byte what the library writes without the report
+        ref = tmp_path / "ref.csv"
+        spec = SweepSpec(tuple(float(g) for g in grid[1].split(",")), trials=3)
+        sweep = sweep_alpha if command == "link-sim" else sweep_roc
+        sweep(cfg, spec, out_path=ref)
+        assert out.read_bytes() == ref.read_bytes()
+
     def test_bounds_command(self, tmp_path):
         cfg_path = tmp_path / "scenario.cfg"
         write_config(toy_cfg(), cfg_path)
@@ -406,14 +448,29 @@ class TestCli:
         assert not out.exists()
 
     def test_cli_import_skips_scipy_stats(self):
-        # scipy.stats costs about 20 MiB and most of a second to import,
-        # scipy.integrate about 15 MiB
+        # `import csra.cli` needs numpy only: scipy.special alone costs about
+        # 0.4 s and 17 MiB, and maps scipy's own OpenBLAS and thread pool
         code = ("import sys, csra.cli; "
-                "sys.exit('scipy.stats' in sys.modules "
-                "or 'scipy.integrate' in sys.modules)")
+                "sys.exit(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')) or 0)")
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads /proc/self/maps")
+    def test_import_maps_one_openblas(self):
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        if "openblas" not in str(blas.get("name", "")).lower():
+            pytest.skip("numpy is not built on OpenBLAS")
+        code = ("import csra\n"
+                "with open('/proc/self/maps') as f:\n"
+                "    libs = {line.split()[-1] for line in f if 'openblas' in line}\n"
+                "print(*sorted(libs), sep='\\n')")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.split()) == 1, proc.stdout
 
     def test_entry_point_installed(self):
         proc = subprocess.run([sys.executable, "-m", "csra.cli", "throughput",
