@@ -17,7 +17,8 @@ import numpy as np
 
 from .config import SystemConfig, slot_plan, trial_rng
 from .detection import detect_active
-from .model import build_pilot_book, draw_activity, draw_channels, draw_data, transmit_receive
+from .model import (build_pilot_book, channel_gains, draw_activity,
+                    draw_channels, draw_data, transmit_receive)
 from .recovery import bpdn, cosamp
 from .sensing import build_operator
 
@@ -447,13 +448,14 @@ def simulated_ergodic_rate(cfg: SystemConfig, trials: int, delta_2k: float,
                 rates.append(0.0)
                 continue
             subs = plan.user_subcarriers(u)
-            g_true = channels.freq_gains(u, cfg.n)[subs]
+            g_true = channel_gains(channels.per_user(u), subs, cfg.n)
             if perfect_csi:
                 g, q = g_true, 0.0
             elif error_budget == "certificate":
                 g, q = g_true, q_cert
             else:
-                g = np.fft.fft(h_hat[u * cfg.t_cp:(u + 1) * cfg.t_cp], cfg.n)[subs]
+                g = channel_gains(h_hat[u * cfg.t_cp:(u + 1) * cfg.t_cp],
+                                  subs, cfg.n)
                 q = (1.0 - cfg.alpha) * np.abs(g_true - g) ** 2
             sinr = (1.0 - cfg.alpha) * np.abs(g) ** 2 / (cfg.sigma2 + q)
             rates.append(float(np.mean(np.log1p(sinr))))

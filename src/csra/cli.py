@@ -111,15 +111,19 @@ def _run_observer(directory: Path | None, per_alpha: bool):
 
 
 def _report_solves(command: str, batches: list[dict]) -> None:
-    """One stderr line on the run's solves; the CSV stays as it is."""
+    """One stderr line on the run's solves and on where its trial time
+    went, stage by stage; the CSV stays as it is."""
     trials = sum(b["trials"] for b in batches)
     mean = (sum(b["iterations_mean"] * b["trials"] for b in batches) / trials
             if trials else float("nan"))
+    split = " + ".join(
+        f"{stage} {sum(b['stage_seconds'][stage] for b in batches):.2f}"
+        for stage in harness.STAGES)
     print(f"{command}: {trials} trials, "
           f"{sum(b['nonconverged'] for b in batches)} non-converged solves, "
           f"iterations mean {mean:.1f} max "
           f"{max((b['iterations_max'] for b in batches), default=0)}, "
-          f"{sum(b['elapsed'] for b in batches):.2f} s in trials",
+          f"{split} = {sum(b['elapsed'] for b in batches):.2f} s in trials",
           file=sys.stderr)
 
 
@@ -150,6 +154,8 @@ def _dispatch(args) -> int:
         return 0
 
     cfg = _load_config(args)
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
     if args.command == "link-sim":
         spec = harness.SweepSpec(_grid(args.alphas), trials=cfg.trials)

@@ -7,7 +7,7 @@ remaining subcarriers are divided into b_slots frequency slots for data.
 
 from dataclasses import dataclass, fields, replace
 import hashlib
-from operator import attrgetter
+from operator import attrgetter, index
 
 import numpy as np
 
@@ -52,6 +52,21 @@ class SystemConfig:
     solver: str = "cosamp"
 
     def __post_init__(self):
+        # each number to its declared type, so that equal configs are equal
+        # and hash equal: 1 and np.int64(1) become 1, 1 becomes 1.0 where a
+        # float is declared, and -0.0 becomes 0.0 (`or` maps it, being
+        # false); a non-integer for an int field is an error
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                if f.type is int:
+                    value = index(value)
+                elif f.type is float:
+                    value = float(value) or 0.0
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{f.name} must be {f.type.__name__}, "
+                                  f"got {value!r}") from exc
+            object.__setattr__(self, f.name, value)
         self.validate()
 
     @property

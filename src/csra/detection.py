@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import MODULATIONS, SlotPlan
+from .model import channel_gains
 
 ERASED = -1   # sentinel bit value for symbols with no usable decision
 
@@ -61,7 +62,7 @@ def equalize_demodulate(y_freq: np.ndarray, h_hat: np.ndarray, plan: SlotPlan,
     for u in np.asarray(detected, dtype=int):
         taps = h_hat[u * t_cp:(u + 1) * t_cp]
         subs = plan.user_subcarriers(u)
-        g = np.fft.fft(taps, plan.n)[subs]
+        g = channel_gains(taps, subs, plan.n)
         usable = np.abs(g) >= 1e-12
         n_erased += int(np.sum(~usable))
         est = np.zeros(n_sym, dtype=complex)

@@ -46,9 +46,18 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
 
 
-@dataclass
+# The stages of one trial that TrialRecord.stage_seconds times, in order:
+# the random draws, the frame (transmit/receive), the recovery solve, and
+# activity detection with demodulation and the tally.
+STAGES = ("draws", "frame", "solve", "detect/demod/tally")
+
+
+@dataclass(slots=True)
 class TrialRecord:
-    """One trial's metrics plus cached energies (for ROC re-thresholding)."""
+    """One trial's metrics plus cached energies (for ROC re-thresholding).
+
+    Sweeps and the benchmark hold every record of a run, so a record is
+    kept small: slots, and the stage times as one float array."""
 
     trial_index: int
     metrics: TrialMetrics
@@ -58,7 +67,13 @@ class TrialRecord:
     solver_iterations: int
     solver_converged: bool
     history: list = field(default_factory=list)
-    elapsed: float = 0.0
+    stage_seconds: np.ndarray = field(      # seconds per entry of STAGES
+        default_factory=lambda: np.zeros(len(STAGES)))
+
+    @property
+    def elapsed(self) -> float:
+        """Wall time of the trial, the sum of its stage times."""
+        return float(self.stage_seconds.sum())
 
 
 @dataclass(frozen=True)
@@ -86,20 +101,23 @@ def run_trial(cfg: SystemConfig, trial_index: int,
     dropped."""
     if scenario is None:
         scenario = make_scenario(cfg)
-    t0 = time.perf_counter()
+    marks = [time.perf_counter()]
     rng = trial_rng(cfg, trial_index)
     activity = draw_activity(cfg, rng)
     channels = draw_channels(cfg, activity, rng)
     data = draw_data(cfg, activity, rng)
+    marks.append(time.perf_counter())
     op = scenario.op
     frame = transmit_receive(cfg, op.pilots, data, channels, rng,
                              plan=scenario.plan, xi=op.xi)
+    marks.append(time.perf_counter())
     discarded = False
     if cfg.solver == "cosamp":
         rec = cosamp(op, frame.y_window, k=max(cfg.k1 * cfg.k2, 1))
     else:
         rec = bpdn(op, frame.y_window, scenario.eps)
         discarded = frame.noise_window_norm > scenario.eps
+    marks.append(time.perf_counter())
     detected = detect_active(rec.user_energies, cfg.xi_thr)
     rx_bits, n_erased = equalize_demodulate(frame.y_freq, rec.h_hat,
                                             scenario.plan, detected,
@@ -107,12 +125,13 @@ def run_trial(cfg: SystemConfig, trial_index: int,
     metrics = tally(activity.active, detected, frame.tx_bits, rx_bits,
                     cfg.modulation, n_erased=n_erased, discarded=discarded,
                     seed=trial_index)
+    marks.append(time.perf_counter())
     return TrialRecord(trial_index=trial_index, metrics=metrics,
                        user_energies=rec.user_energies, active=activity.active,
                        residual_norm=rec.residual_norm,
                        solver_iterations=rec.iterations,
                        solver_converged=rec.converged, history=rec.history,
-                       elapsed=time.perf_counter() - t0)
+                       stage_seconds=np.diff(marks))
 
 
 def _run_chunk(args):
@@ -130,7 +149,8 @@ def run_trials(cfg: SystemConfig, n_trials: int, threads: int = 1) -> list[Trial
         return [run_trial(cfg, i, scenario) for i in indices]
     from concurrent.futures import ProcessPoolExecutor   # off the import path
     chunks = [c.tolist() for c in np.array_split(indices, min(threads, n_trials))]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # a fork pool starts all its workers up front: one per chunk
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
         parts = list(pool.map(_run_chunk, [(cfg, c) for c in chunks]))
     records = [r for part in parts for r in part]
     records.sort(key=lambda r: r.trial_index)
@@ -140,7 +160,8 @@ def run_trials(cfg: SystemConfig, n_trials: int, threads: int = 1) -> list[Trial
 def aggregate(records: list[TrialRecord]) -> dict:
     """Batch averages; discarded trials are excluded from the averages and
     reported as a count. The solver figures (non-converged solves, iteration
-    mean and max) and the summed trial time cover every trial."""
+    mean and max), the summed trial time and its split over STAGES cover
+    every trial."""
     kept = [r for r in records if not r.metrics.discarded]
     sers = [r.metrics.ser for r in kept if not math.isnan(r.metrics.ser)]
     sers_det = [r.metrics.ser_detected_only for r in kept
@@ -151,6 +172,7 @@ def aggregate(records: list[TrialRecord]) -> dict:
     p_fa = [r.metrics.n_fa / (u_max - r.metrics.n_active_true)
             for r in kept if u_max - r.metrics.n_active_true > 0]
     iterations = [r.solver_iterations for r in records]
+    stage_total = sum((r.stage_seconds for r in records), np.zeros(len(STAGES)))
     mean = lambda xs: float(np.mean(xs)) if xs else float("nan")
     return {"ser": mean(sers), "ser_detected_only": mean(sers_det),
             "p_md": mean(p_md), "p_fa": mean(p_fa),
@@ -158,7 +180,8 @@ def aggregate(records: list[TrialRecord]) -> dict:
             "nonconverged": sum(not r.solver_converged for r in records),
             "iterations_mean": mean(iterations),
             "iterations_max": max(iterations, default=0),
-            "elapsed": sum(r.elapsed for r in records)}
+            "elapsed": sum(r.elapsed for r in records),
+            "stage_seconds": dict(zip(STAGES, stage_total.tolist()))}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ so ||Wx|| = ||x|| and the received frequency-domain signal is
     y_hat(f) = sum_u sqrt(n) * h_hat_u(f) * (p_hat_u(f) + x_hat_u(f)) + e_hat(f)
 
 with h_hat_u the unitary FFT of the zero-padded impulse response. Note
-sqrt(n) * h_hat_u = numpy's unnormalized fft of the padded taps.
+sqrt(n) * h_hat_u = numpy's unnormalized fft of the padded taps; the trial
+chain evaluates it only at the subcarriers it reads (`channel_gains`), as a
+sum over the nonzero taps, and never forms the n-point spectrum.
 """
 
 import warnings
@@ -27,6 +29,54 @@ def unitary_ifft(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Partial DFTs: the delay-major block and per-subcarrier channel gains
+# ---------------------------------------------------------------------------
+
+def _phase(k: np.ndarray, n: int) -> np.ndarray:
+    """exp(-2i*pi*k/n) for integers 0 <= k < n, entry by entry (the same
+    bits wherever k sits in the array)."""
+    return np.exp(-2j * np.pi * k / n)
+
+
+def _phase_index(delays: np.ndarray, subcarriers: np.ndarray, n: int) -> np.ndarray:
+    """Exponents k = t*f mod n of exp(-2i*pi*k/n), one row per delay t, one
+    column per subcarrier f. The product is reduced mod n in integers, so
+    the phase argument stays below 2*pi in magnitude and keeps full
+    precision at LTE size."""
+    return np.outer(delays, np.asarray(subcarriers, dtype=np.int64)) % n
+
+
+def delay_block(window: np.ndarray, t_cp: int, n: int) -> np.ndarray:
+    """C-contiguous t_cp x m block D[t, j] = exp(-2i*pi*(window[j]*t mod n)/n),
+    one row per delay t < t_cp, gathered from the n phases exp(-2i*pi*k/n):
+    the same bits as evaluating each entry, for n exponentials instead of
+    t_cp * m."""
+    return _phase(np.arange(n), n)[_phase_index(np.arange(t_cp), window, n)]
+
+
+def channel_gains(taps: np.ndarray, subcarriers: np.ndarray, n: int,
+                  block: np.ndarray | None = None) -> np.ndarray:
+    """sqrt(n) * h_hat(f) = sum_t taps[t] exp(-2i*pi*(f*t mod n)/n) at the
+    given subcarriers only: numpy's fft(taps, n)[subcarriers] up to
+    round-off. `block`, when given, holds these exponentials for every
+    delay t < len(taps) (D[t, j] at subcarriers[j], the pilot book's block
+    on the window) and they are read from its rows instead of computed.
+
+    The sum runs over the nonzero taps in delay order, one elementwise
+    multiply-add each, so a subcarrier's gain has the same bits whichever
+    other subcarriers are evaluated with it (a GEMV does not promise that).
+    """
+    taps = np.asarray(taps)
+    delays = np.flatnonzero(taps)
+    rows = (_phase(_phase_index(delays, subcarriers, n), n) if block is None
+            else block[delays])
+    gains = np.zeros(len(subcarriers), dtype=complex)
+    for tap, row in zip(taps[delays], rows):
+        gains += tap * row
+    return gains
+
+
+# ---------------------------------------------------------------------------
 # Domain types
 # ---------------------------------------------------------------------------
 
@@ -37,13 +87,16 @@ class PilotBook:
     zero elsewhere in the n-point band.
 
     Window entries are unit-modulus random phases scaled by a common factor
-    so that (1/n)*||p_u||^2 = alpha exactly.
+    so that (1/n)*||p_u||^2 = alpha exactly. The book also owns the one
+    delay-major partial-DFT block over the window (`delay_block`), which the
+    channel gains on the window and the sensing operator both read.
     """
 
     n: int
     window: np.ndarray        # (m,)
     window_values: np.ndarray  # (u_max, m)
     alpha: float
+    block: np.ndarray         # (t_cp, m), delay_block(window, t_cp, n)
 
     @property
     def u_max(self) -> int:
@@ -72,10 +125,6 @@ class ChannelProfile:
 
     def per_user(self, u: int) -> np.ndarray:
         return self.compound[u * self.t_cp:(u + 1) * self.t_cp]
-
-    def freq_gains(self, u: int, n: int) -> np.ndarray:
-        """Per-subcarrier channel gain sqrt(n) * h_hat_u(f), length n."""
-        return np.fft.fft(self.per_user(u), n)
 
     def user_energies(self) -> np.ndarray:
         h = self.compound.reshape(self.u_max, self.t_cp)
@@ -117,8 +166,10 @@ def build_pilot_book(cfg: SystemConfig) -> PilotBook:
                       "activity detection is impossible", stacklevel=2)
     amp = np.sqrt(cfg.n * cfg.alpha / cfg.m)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.u_max, cfg.m))
-    return PilotBook(n=cfg.n, window=control_window(cfg),
-                     window_values=amp * np.exp(1j * phases), alpha=cfg.alpha)
+    window = control_window(cfg)
+    return PilotBook(n=cfg.n, window=window,
+                     window_values=amp * np.exp(1j * phases), alpha=cfg.alpha,
+                     block=delay_block(window, cfg.t_cp, cfg.n))
 
 
 def draw_activity(cfg: SystemConfig, rng: np.random.Generator) -> ActivityPattern:
@@ -205,12 +256,13 @@ def transmit_receive(cfg: SystemConfig, pilots: PilotBook, data: UserData,
 
     y_clean = np.zeros(cfg.n, dtype=complex)
     for u in active:
-        g = channels.freq_gains(u, cfg.n)          # sqrt(n) h_hat_u
+        taps = channels.per_user(u)
         subs = plan.user_subcarriers(u)
         scaled = data_amp * data.symbols[u]
         tx_symbols[u] = scaled
-        y_clean[window] += g[window] * pilots.window_values[u]
-        y_clean[subs] += g[subs] * scaled
+        y_clean[window] += (channel_gains(taps, window, cfg.n, pilots.block)
+                            * pilots.window_values[u])
+        y_clean[subs] += channel_gains(taps, subs, cfg.n) * scaled
 
     noise = np.sqrt(cfg.sigma2 / 2.0) * (rng.standard_normal(cfg.n)
                                          + 1j * rng.standard_normal(cfg.n))

@@ -45,8 +45,11 @@ def _top(magnitudes: np.ndarray, count: int) -> np.ndarray:
 
 
 def _result(op, h, y, iterations, converged, h_true=None, history=None,
-            rank_deficient=False) -> RecoveryResult:
-    residual = float(np.linalg.norm(op.apply(h) - y))
+            rank_deficient=False, residual=None) -> RecoveryResult:
+    """The result for iterate h; `residual`, when the solver already holds
+    ||A h - y||, saves the closing apply."""
+    if residual is None:
+        residual = float(np.linalg.norm(op.apply(h) - y))
     d = None if h_true is None else float(np.linalg.norm(h - h_true))
     return RecoveryResult(h_hat=h, user_energies=_energies(h, op.u_max, op.t_cp),
                           residual_norm=residual, iterations=iterations,
@@ -96,9 +99,10 @@ def cosamp(op, y: np.ndarray, k: int,
     < 1e-6), or COSAMP_MAX_ITER iterations; the first test ends a
     noiseless recovery at its first exact iterate, past which the stopping
     tests would compare round-off. A step that would increase the residual
-    is rolled back, so the logged residuals are non-increasing. Output is
-    at most k-sparse. The merged support holds up to min(3k, N) columns,
-    which must fit the m measurements."""
+    is rolled back, so the logged residuals are non-increasing; the
+    reported residual_norm is the final fit's, with no closing apply.
+    Output is at most k-sparse. The merged support holds up to min(3k, N)
+    columns, which must fit the m measurements."""
     y = np.asarray(y, dtype=complex)
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")
@@ -132,7 +136,8 @@ def cosamp(op, y: np.ndarray, k: int,
         history.append((it, res_norm, int(np.count_nonzero(h))))
         if res_norm <= stop or rel_change < 1e-6:
             converged = True
-    return _result(op, h, y, it, converged, h_true, history, flagged)
+    return _result(op, h, y, it, converged, h_true, history, flagged,
+                   residual=res_norm)
 
 
 # ---------------------------------------------------------------------------

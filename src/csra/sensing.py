@@ -3,9 +3,10 @@
 The operator A acts on h in C^{u_max * t_cp} (compound index u*t_cp + t) and
 returns the m control-window samples of the superimposed pilot responses.
 In plain mode its (f, (u,t)) entry is p_hat_u(f) * exp(-2i*pi*f*t/n), so
-A h = sum_u P_u * (F @ h_u) with F the fixed m x t_cp partial-DFT block over
-the window rows and the delay columns: apply and adjoint are two small
-GEMMs and columns() is a gather. In randomized mode the receiver applies a
+A h = sum_u P_u * (D^T @ h_u) with D the pilot book's fixed t_cp x m
+delay-major partial-DFT block (one row per delay, one column per window
+subcarrier): apply and adjoint are two small GEMMs and columns() gathers
+contiguous rows of D. In randomized mode the receiver applies a
 fixed pointwise time-domain multiplier xi before the FFT. The pilots live
 on the window, so that operator is C @ A_plain with C the m x m window
 mixer C[f, g] = fft(xi)[(f - g) mod n] / n, one more GEMM per call. A dense
@@ -37,15 +38,6 @@ def randomized_multiplier(cfg: SystemConfig) -> np.ndarray | None:
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=cfg.n))
 
 
-def _partial_dft(window: np.ndarray, t_cp: int, n: int) -> np.ndarray:
-    """m x t_cp block F[f, t] = exp(-2i*pi*f*t/n) over window rows f and
-    delays t < t_cp. The product f*t is reduced mod n in integers before
-    scaling, so the phase argument stays below 2*pi in magnitude and keeps
-    full precision at LTE size."""
-    ft = np.outer(np.asarray(window, dtype=np.int64), np.arange(t_cp)) % n
-    return np.exp(-2j * np.pi * ft / n)
-
-
 def _window_mixer(window: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
     """m x m block C[f, g] = fft(xi)[(f - g) mod n] / n over window rows and
     columns: P_B W M_xi W* restricted to spectra supported on the window."""
@@ -73,8 +65,11 @@ class SensingOperator:
         if xi is not None and np.all(xi == 1):
             xi = None
         self.xi = xi
+        if pilots.block.shape != (t_cp, self.m):
+            raise ValueError(f"pilot book block has shape {pilots.block.shape}, "
+                             f"expected ({t_cp}, {self.m})")
         # the block both GEMMs and columns() share, and the randomized mixer
-        self._dft = _partial_dft(self.window, t_cp, self.n)
+        self._block = pilots.block
         self._mix = None if xi is None else _window_mixer(self.window, xi, self.n)
 
     @property
@@ -94,10 +89,11 @@ class SensingOperator:
     @cached_property
     def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
         """(eigenvalues, eigenvectors) of A A^H. In plain mode the Gram is
-        (W^T conj(W)) * (F F^H) elementwise, W the pilot window values and F
-        the partial-DFT block; the randomized mode mixes it to C G C^H."""
+        (W^T conj(W)) * (D^T conj(D)) elementwise, W the pilot window values
+        and D the delay-major block; the randomized mode mixes it to
+        C G C^H."""
         values = self.pilots.window_values
-        gram = (values.T @ np.conj(values)) * (self._dft @ np.conj(self._dft.T))
+        gram = (values.T @ np.conj(values)) * (self._block.T @ np.conj(self._block))
         if self._mix is not None:
             gram = self._mix @ gram @ np.conj(self._mix.T)
         return np.linalg.eigh(gram)
@@ -107,7 +103,7 @@ class SensingOperator:
         (randomized)."""
         h = self._check_h(h)
         taps = h.reshape(self.u_max, self.t_cp)
-        return self._mixed(np.sum(self.pilots.window_values * (taps @ self._dft.T),
+        return self._mixed(np.sum(self.pilots.window_values * (taps @ self._block),
                                   axis=0))
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -118,9 +114,9 @@ class SensingOperator:
                              f"got shape {y.shape}")
         if self._mix is not None:
             y = np.conj(np.conj(y) @ self._mix)     # C^H y
-        # (conj(P) * y) @ conj(F), conjugating the small product instead
+        # (conj(P) * y) @ conj(D^T), conjugating the small product instead
         return np.conj((self.pilots.window_values * np.conj(y))
-                       @ self._dft).reshape(-1)
+                       @ self._block.T).reshape(-1)
 
     def columns(self, support) -> np.ndarray:
         """Dense m x |support| submatrix for the given compound indices."""
@@ -128,11 +124,12 @@ class SensingOperator:
         if support.size == 0:
             return np.zeros((self.m, 0), dtype=complex)
         users, delays = np.divmod(support, self.t_cp)
-        # in place, pilot factor first: numpy's complex multiply is not
-        # bitwise commutative, and this keeps the bits of values * dft
-        block = self._dft[:, delays]
-        np.multiply(self.pilots.window_values[users].T, block, out=block)
-        return self._mixed(block)
+        # contiguous rows of D, scaled in place, pilot factor first: numpy's
+        # complex multiply is not bitwise commutative, and this keeps the
+        # bits of values * block
+        rows = self._block[delays]
+        np.multiply(self.pilots.window_values[users], rows, out=rows)
+        return self._mixed(rows.T)
 
     def materialize(self) -> np.ndarray:
         """Full dense matrix; toy-scale oracle only."""
@@ -198,6 +195,30 @@ def build_operator(cfg: SystemConfig,
 GRAM_COND_MAX = 1e5
 
 
+# Diagonal blocks up to this order are inverted by np.linalg.inv; larger
+# lower-triangular factors are split in halves by _lower_inverse.
+INV_BLOCK = 32
+
+
+def _lower_inverse(low: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by 2 x 2 blocks,
+    [[A, 0], [B, C]]^-1 = [[A^-1, 0], [-C^-1 B A^-1, C^-1]]: matmuls, with
+    np.linalg.inv (a general LU inverse, about 8x the flops of a triangular
+    one) only on diagonal blocks of at most INV_BLOCK rows. Raises
+    LinAlgError where such a block is singular."""
+    size = low.shape[0]
+    if size <= INV_BLOCK:
+        return np.linalg.inv(low)
+    half = size // 2
+    a_inv = _lower_inverse(low[:half, :half])
+    c_inv = _lower_inverse(low[half:, half:])
+    inv = np.zeros_like(low)
+    inv[:half, :half] = a_inv
+    inv[half:, half:] = c_inv
+    inv[half:, :half] = -(c_inv @ (low[half:, :half] @ a_inv))
+    return inv
+
+
 def gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     """Solution of gram @ x = rhs through the Cholesky factor L of the
     Hermitian Gram, or None when the factor fails or does not certify
@@ -205,7 +226,7 @@ def gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     lambda_max <= ||gram||_F and 1 / lambda_min = ||L^-1||_2^2 <=
     ||L^-1||_F^2."""
     try:
-        inv = np.linalg.inv(np.linalg.cholesky(gram))
+        inv = _lower_inverse(np.linalg.cholesky(gram))
     except np.linalg.LinAlgError:
         return None
     bound = float(np.linalg.norm(gram)) * float(np.vdot(inv, inv).real)

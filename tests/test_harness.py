@@ -1,6 +1,7 @@
 """Config I/O, trial loop determinism, CSV emission, validation suite, CLI."""
 
 import math
+import re
 import subprocess
 import sys
 from dataclasses import asdict, fields
@@ -28,6 +29,20 @@ def toy_cfg(**kw):
                 solver="cosamp")
     base.update(kw)
     return SystemConfig(**base)
+
+
+def count_fft_calls(monkeypatch) -> list:
+    """Wrap every numpy.fft transform the package uses; returns the list
+    each call appends its name to."""
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft"):
+        original = getattr(np.fft, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counting)
+    return calls
 
 
 class TestConfig:
@@ -154,6 +169,26 @@ class TestConfig:
         assert config_hash(toy_cfg()) != config_hash(toy_cfg(seed=1))
         assert config_hash(toy_cfg()) == config_hash(toy_cfg())
 
+    @pytest.mark.parametrize("left, right", [
+        (dict(alpha=1), dict(alpha=1.0)),
+        (dict(alpha=-0.0), dict(alpha=0.0)),
+        (dict(m=np.int64(256)), dict(m=256)),
+        (dict(snr_db=np.float64(20.0), seed=np.uint32(12345)), {})])
+    def test_equal_configs_hash_equal(self, left, right):
+        a, b = desk_profile(**left), desk_profile(**right)
+        assert a == b and config_hash(a) == config_hash(b)
+        assert [type(getattr(a, f.name)) for f in fields(SystemConfig)] == \
+            [f.type for f in fields(SystemConfig)]
+        assert math.copysign(1.0, a.alpha) == 1.0
+        assert config_hash(desk_profile()) == "411aeaa81fc9"
+
+    @pytest.mark.parametrize("bad", [dict(m=256.0), dict(seed=1.5),
+                                     dict(trials="200"), dict(alpha=None),
+                                     dict(snr_db="loud")])
+    def test_wrong_number_type_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            desk_profile(**bad)
+
     def test_profiles_valid(self):
         desk_profile()
         lte_profile()
@@ -211,6 +246,65 @@ class TestTrials:
                           r.solver_converged, r.history]
         for a, b in zip(serial, parallel):
             np.testing.assert_equal(same(a), same(b))
+
+    def test_pool_has_one_worker_per_chunk(self, monkeypatch):
+        # a fake executor: no process starts
+        import concurrent.futures
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        records = run_trials(toy_cfg(), 2, threads=64)
+        assert sizes == [2]
+        assert [r.trial_index for r in records] == [0, 1]
+        run_trials(toy_cfg(), 5, threads=3)
+        assert sizes == [2, 3]
+
+    def test_stage_seconds_split_the_trial_time(self):
+        records = run_trials(toy_cfg(solver="bpdn"), 3)
+        for r in records:
+            assert r.stage_seconds.shape == (len(harness.STAGES),)
+            assert np.all(r.stage_seconds >= 0.0)
+            assert r.elapsed == r.stage_seconds.sum() > 0.0
+        agg = aggregate(records)
+        assert tuple(agg["stage_seconds"]) == harness.STAGES
+        for j, stage in enumerate(harness.STAGES):
+            assert agg["stage_seconds"][stage] == pytest.approx(
+                sum(r.stage_seconds[j] for r in records))
+        assert aggregate([])["stage_seconds"] == dict.fromkeys(harness.STAGES, 0.0)
+
+    @pytest.mark.parametrize("cfg", [
+        toy_cfg(), toy_cfg(solver="bpdn"), toy_cfg(k1=1, k2=0),
+        lte_profile(alpha=0.5)], ids=["toy-cosamp", "toy-bpdn", "toy-silent", "lte"])
+    def test_plain_trial_makes_no_fft(self, monkeypatch, cfg):
+        calls = count_fft_calls(monkeypatch)
+        run_trial(cfg, 1)
+        assert calls == []
+
+    def test_plain_rate_estimate_makes_no_fft(self, monkeypatch):
+        from csra.bounds import simulated_ergodic_rate
+        calls = count_fft_calls(monkeypatch)
+        cfg = toy_cfg()
+        for budget in ("certificate", "actual"):
+            simulated_ergodic_rate(cfg, trials=3, delta_2k=0.2,
+                                   error_budget=budget)
+        simulated_ergodic_rate(cfg, trials=2, delta_2k=0.2, perfect_csi=True)
+        assert calls == []
+        # the counter sees the randomized mode's receiver FFTs
+        run_trial(toy_cfg(sensing_mode="randomized"), 1)
+        assert calls
 
     def test_bpdn_discard_flag_counts(self):
         cfg = toy_cfg(solver="bpdn", snr_db=5.0)
@@ -335,6 +429,19 @@ class TestCli:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["link-sim", "roc"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_exit_one(self, tmp_path, capsys, monkeypatch,
+                                        command, threads):
+        monkeypatch.setattr(harness, "run_trials", None)   # nothing may run
+        cfg_path = tmp_path / "scenario.cfg"
+        write_config(toy_cfg(trials=2), cfg_path)
+        code = cli.main([command, "--config", str(cfg_path), "--threads", threads,
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert "config error: --threads must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_io_error_exit_three(self, tmp_path, capsys):
         cfg = toy_cfg(trials=1)
         path = tmp_path / "scenario.cfg"
@@ -416,6 +523,24 @@ class TestCli:
         spec = SweepSpec(tuple(float(g) for g in grid[1].split(",")), trials=3)
         sweep = sweep_alpha if command == "link-sim" else sweep_roc
         sweep(cfg, spec, out_path=ref)
+        assert out.read_bytes() == ref.read_bytes()
+
+    def test_run_splits_its_trial_time_by_stage(self, tmp_path, capsys):
+        cfg_path = tmp_path / "scenario.cfg"
+        write_config(toy_cfg(trials=3, solver="bpdn"), cfg_path)
+        out = tmp_path / "link.csv"
+        assert cli.main(["link-sim", "--config", str(cfg_path),
+                         "--alphas", "0.4,0.9", "--out", str(out)]) == 0
+        err = capsys.readouterr().err.strip()
+        stages = r" \+ ".join(rf"{re.escape(s)} (\d+\.\d\d)"
+                             for s in harness.STAGES)
+        match = re.search(rf", {stages} = (\d+\.\d\d) s in trials$", err)
+        assert match, err
+        *parts, total = (float(g) for g in match.groups())
+        assert abs(sum(parts) - total) <= 0.005 * (len(parts) + 1)
+        ref = tmp_path / "ref.csv"
+        sweep_alpha(toy_cfg(trials=3, solver="bpdn"),
+                    SweepSpec((0.4, 0.9), trials=3), out_path=ref)
         assert out.read_bytes() == ref.read_bytes()
 
     def test_bounds_command(self, tmp_path):

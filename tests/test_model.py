@@ -4,11 +4,14 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from csra.config import SystemConfig, control_window, slot_plan, trial_rng
-from csra.model import (build_pilot_book, draw_activity, draw_channels,
-                        draw_data, circular_convolve, transmit_receive,
-                        unitary_fft, unitary_ifft)
+from csra.config import (SystemConfig, control_window, lte_profile, slot_plan,
+                         trial_rng)
+from csra.model import (build_pilot_book, channel_gains, delay_block,
+                        draw_activity, draw_channels, draw_data,
+                        circular_convolve, transmit_receive, unitary_fft,
+                        unitary_ifft)
 from csra.sensing import randomized_multiplier
 
 
@@ -137,6 +140,49 @@ class TestConvolution:
             circular_convolve(np.zeros(4), np.zeros(5))
 
 
+class TestChannelGains:
+    @pytest.mark.parametrize("cfg", [toy_cfg(), toy_cfg(window_mode="random"),
+                                     lte_profile()], ids=["toy", "toy-random", "lte"])
+    def test_block_is_the_partial_dft_transposed_bitwise(self, cfg):
+        # the m x t_cp partial-DFT formula the sensing operator used to build
+        window = control_window(cfg)
+        ft = np.outer(np.asarray(window, dtype=np.int64), np.arange(cfg.t_cp)) % cfg.n
+        partial_dft = np.exp(-2j * np.pi * ft / cfg.n)
+        block = build_pilot_book(cfg).block
+        assert block.flags.c_contiguous and block.shape == (cfg.t_cp, cfg.m)
+        assert np.array_equal(block, partial_dft.T)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_fft(self, data):
+        n = data.draw(st.integers(1, 24576), label="n")
+        t_cp = data.draw(st.integers(1, min(n, 300)), label="t_cp")
+        nnz = data.draw(st.integers(0, min(t_cp, 8)), label="nonzero taps")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        taps = np.zeros(t_cp, dtype=complex)
+        taps[rng.choice(t_cp, nnz, replace=False)] = (rng.standard_normal(nnz)
+                                                      + 1j * rng.standard_normal(nnz))
+        subs = np.unique(np.concatenate(
+            ([0, n - 1], rng.choice(n, data.draw(st.integers(0, 64))))))
+        expected = np.fft.fft(taps, n)[subs]
+        direct = channel_gains(taps, subs, n)
+        windowed = channel_gains(taps, subs, n, delay_block(subs, t_cp, n))
+        tol = 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(direct - expected)) <= tol
+        # the window path reads the same exponentials from the block's rows
+        assert np.array_equal(windowed, direct)
+
+    def test_gains_do_not_depend_on_the_other_subcarriers(self):
+        rng = np.random.default_rng(8)
+        n = 24576
+        taps = np.zeros(300, dtype=complex)
+        taps[rng.choice(300, 6, replace=False)] = rng.standard_normal(6) + 1j
+        full = channel_gains(taps, np.arange(n), n)
+        for size in (1, 7, 200, 839):
+            subs = np.sort(rng.choice(n, size, replace=False))
+            assert np.array_equal(channel_gains(taps, subs, n), full[subs])
+
+
 class TestTransmitReceive:
     def test_silent_frame(self):
         cfg = toy_cfg(k2=0, snr_db=np.inf)
@@ -216,7 +262,8 @@ class TestTransmitReceive:
     ])
     def test_matches_full_band_formula_bitwise(self, overrides):
         # each user's channel applied to its full n-point pilot + payload
-        # spectrum, as the window-scatter form must reproduce bit for bit
+        # spectrum, as the window-scatter form must reproduce bit for bit;
+        # the full-band gains come from the same kernel on all n subcarriers
         cfg = toy_cfg(**overrides)
         pilots = build_pilot_book(cfg)
         plan = slot_plan(cfg)
@@ -232,7 +279,8 @@ class TestTransmitReceive:
             for u in act.active:
                 x_freq = np.zeros(cfg.n, dtype=complex)
                 x_freq[plan.user_subcarriers(u)] = np.sqrt(1.0 - cfg.alpha) * data.symbols[u]
-                y_clean += ch.freq_gains(u, cfg.n) * (pilot_spectrum(pilots, u) + x_freq)
+                gains = channel_gains(ch.per_user(u), np.arange(cfg.n), cfg.n)
+                y_clean += gains * (pilot_spectrum(pilots, u) + x_freq)
             noise = np.sqrt(cfg.sigma2 / 2.0) * (noise_rng.standard_normal(cfg.n)
                                                  + 1j * noise_rng.standard_normal(cfg.n))
             y_freq = y_clean + noise

@@ -192,6 +192,22 @@ def test_cosamp_matches_two_solve_reference(problem):
     assert not rec.rank_deficient
 
 
+@settings(max_examples=80, deadline=None)
+@given(cosamp_problems())
+def test_cosamp_residual_is_the_final_fits(problem):
+    """The residual norm handed over from the last fit is ||A h_hat - y||
+    without the closing apply, and cosamp makes no apply call at all."""
+    op, y, k = problem
+    applies, apply = [], op.apply
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(op, "apply", lambda h: applies.append(h) or apply(h))
+        rec = cosamp(op, y, k)
+    assert not applies
+    direct = np.linalg.norm(op.apply(rec.h_hat) - y)
+    assert abs(rec.residual_norm - direct) <= 1e-12 * np.linalg.norm(y)
+    assert rec.residual_norm == rec.history[-1][1]
+
+
 def test_cosamp_reports_rank_deficient_refit():
     """Twin columns both survive the prune; the final refit on them is
     rank deficient and takes the minimum-norm split."""

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from csra import sensing
 from csra.config import SystemConfig, control_window
 from csra.harness import dense_reference
-from csra.model import PilotBook, build_pilot_book
+from csra.model import PilotBook, build_pilot_book, delay_block
 from csra.sensing import (SensingOperator, DenseOperator, build_operator,
                           gram_solve, randomized_multiplier, restricted_lstsq,
                           rip_constant_exact, rip_sample_complexity,
@@ -117,7 +117,9 @@ def operators(draw):
     xi = (np.exp(2j * np.pi * rng.uniform(size=n)) if draw(st.booleans())
           else None)
     op = SensingOperator(PilotBook(n=n, window=window, window_values=values,
-                                   alpha=alpha), t_cp, xi=xi)
+                                   alpha=alpha,
+                                   block=delay_block(window, t_cp, n)),
+                         t_cp, xi=xi)
     return op, rng
 
 
@@ -298,6 +300,39 @@ def test_near_twin_columns_match_svd_solve(case, log_gap, consistent, seed):
     assert_matches_lstsq(twin, y, wide)
 
 
+@pytest.mark.parametrize("size", [1, 31, 32, 33, 65, 97, 180, 300])
+def test_blocked_lower_inverse_matches_inv(size):
+    rng = np.random.default_rng(size)
+    gather = random_vec(rng, (2 * size, size))
+    low = np.linalg.cholesky(np.conj(gather.T) @ gather)
+    inv = sensing._lower_inverse(low)
+    ref = np.linalg.inv(low)
+    assert np.linalg.norm(inv - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tall_gathers(), st.floats(-4.0, -2.0), st.integers(0, 2 ** 32 - 1))
+def test_gram_solve_properties_hold_with_the_blocked_inverse(case, log_gap,
+                                                              seed):
+    """The gathers above are at most 13 columns, below INV_BLOCK: with
+    diagonal blocks of 2 the recursion runs at every size, and the plain,
+    twin and near-twin properties still hold."""
+    op, y, support = case
+    rng = np.random.default_rng(seed)
+    base = op.mat[:, support[0]]
+    e = random_vec(rng, op.shape[0])
+    near = base + 10.0 ** log_gap * np.linalg.norm(base) * e / np.linalg.norm(e)
+    twin = DenseOperator(np.hstack([op.mat, op.mat[:, support[:1]]]))
+    near_twin = DenseOperator(np.hstack([op.mat, near[:, None]]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sensing, "INV_BLOCK", 2)
+        assert assert_matches_lstsq(op, y, support)
+        assert not assert_matches_lstsq(
+            twin, y, np.append(support, twin.shape[1] - 1))
+        assert_matches_lstsq(near_twin, y,
+                             np.append(support, near_twin.shape[1] - 1))
+
+
 def test_zero_operator_flags_rank_deficient():
     with pytest.warns(UserWarning):
         op = build_operator(toy_cfg(alpha=0.0))
@@ -311,7 +346,7 @@ def test_zero_operator_flags_rank_deficient():
 def test_columns_match_the_product_formula_bitwise(toy_op):
     support = np.random.default_rng(5).choice(toy_op.shape[1], 40, replace=False)
     users, delays = np.divmod(support, toy_op.t_cp)
-    plain = toy_op.pilots.window_values[users].T * toy_op._dft[:, delays]
+    plain = (toy_op.pilots.window_values[users] * toy_op.pilots.block[delays]).T
     expected = plain if toy_op._mix is None else toy_op._mix @ plain
     assert np.array_equal(toy_op.columns(support), expected)
 
