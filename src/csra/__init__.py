@@ -5,9 +5,8 @@ from .config import (SystemConfig, SlotPlan, ConfigError, control_window,
                      write_config, config_hash, desk_profile, lte_profile)
 from .model import (PilotBook, ActivityPattern, ChannelProfile, UserData,
                     FrameSignals, build_pilot_book, draw_activity,
-                    draw_channels, draw_data, bits_to_symbols,
-                    circular_convolve, extract_window, transmit_receive,
-                    unitary_fft, unitary_ifft)
+                    draw_channels, draw_data, bits_to_symbols, extract_window,
+                    transmit_receive, unitary_fft, unitary_ifft)
 from .sensing import (SensingOperator, DenseOperator, RipReport,
                       build_operator, randomized_multiplier, restricted_lstsq,
                       rip_constant_exact, rip_sample_complexity,

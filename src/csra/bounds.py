@@ -34,7 +34,9 @@ _EULER_GAMMA = 0.5772156649015329
 # (k, (k + 1.0)**2) for E1XB's 25 series terms; the squares are exact
 _E1XB_SERIES = tuple((k, (k + 1.0) ** 2) for k in range(1, 26))
 DELTA_MAX = math.sqrt(2.0) - 1.0
-PFA_VARIANTS = ("derivation_consistent", "as_printed")
+# the false-alarm bound's form, as the bounds table's pfa_bound_variant cell
+# names it (see detection_error_bounds)
+PFA_BOUND_VARIANT = "derivation_consistent"
 
 
 # ---------------------------------------------------------------------------
@@ -44,17 +46,13 @@ PFA_VARIANTS = ("derivation_consistent", "as_printed")
 @dataclass(frozen=True)
 class FadingModel:
     """Laws of the per-user channel norm x = ||h_u|| and of the
-    per-subcarrier power P = |h(f)|^2.
-
-    Under the simulator's tap statistics (k1 taps, per-tap variance 1/k1)
-    the squared norm is Gamma(k1, 1/k1) and P is Exp(1) ("Rayleigh").
-    A point mass is available for degenerate checks.
+    per-subcarrier power P = |h(f)|^2 under the simulator's tap statistics
+    (k1 taps, per-tap variance 1/k1): the squared norm is Erlang,
+    Gamma(k1, 1/k1), and P is Exp(1) ("Rayleigh"). Build it through
+    from_taps, which checks k1.
     """
 
-    kind: str                  # "gamma_exp" | "point_mass"
-    k1: int = 1
-    norm_x0: float = 1.0       # point-mass norm value
-    power_p0: float = 1.0      # point-mass per-subcarrier power
+    k1: int
 
     @classmethod
     def from_taps(cls, k1: int) -> "FadingModel":
@@ -64,24 +62,14 @@ class FadingModel:
             raise ValueError(f"k1 must be an integer; got {k1!r}") from None
         if k1 < 1:
             raise ValueError("k1 must be >= 1")
-        return cls(kind="gamma_exp", k1=k1)
-
-    @classmethod
-    def point_mass(cls, norm_x0: float, power_p0: float | None = None) -> "FadingModel":
-        if power_p0 is None:
-            power_p0 = norm_x0 ** 2
-        return cls(kind="point_mass", norm_x0=norm_x0, power_p0=power_p0)
+        return cls(k1=k1)
 
     # ---- channel-norm law -------------------------------------------------
 
     def norm_cdf(self, x: float) -> float:
-        if self.kind == "point_mass":
-            return float(x >= self.norm_x0)
         return _erlang_cdf(self.k1, self.k1 * max(x, 0.0) ** 2)
 
     def norm_pdf(self, x: float) -> float:
-        if self.kind == "point_mass":
-            raise ValueError("point mass has no density")
         if x <= 0:
             return 0.0
         k = self.k1
@@ -91,15 +79,13 @@ class FadingModel:
     # ---- per-subcarrier power law ------------------------------------------
 
     def expect_log1p(self, c: float) -> float:
-        """E[log(1 + c P)]; under the Exp(1) law this is e^x E1(x), x = 1/c."""
+        """E[log(1 + c P)] = e^x E1(x), x = 1/c, under the Exp(1) law."""
         if c == 0.0:
             return 0.0
         if math.isinf(c):
             return math.inf
         if c < 0:
             raise ValueError("c must be >= 0")
-        if self.kind == "point_mass":
-            return math.log1p(c * self.power_p0)
         x = 1.0 / c
         if x < _EXP1_SERIES_FROM:
             return math.exp(x) * _exp1(x)
@@ -187,19 +173,15 @@ def margin_tail_integral(xi: float, fading: FadingModel,
     """Integral of dF(x) / (x - xi)^2 over x > xi + cutoff_delta, where F is
     the channel-norm distribution.
 
-    With cutoff_delta = 0 and the gamma law it has a closed form: it is
-    math.inf when xi > 0 (the density is positive at xi) or k1 == 1 (near 0
-    the integrand behaves like x^(2 k1 - 3)), and E[1/||h||^2] = k1/(k1 - 1)
-    otherwise. A positive cutoff is integrated by adaptive quadrature.
+    With cutoff_delta = 0 it has a closed form: it is math.inf when xi > 0
+    (the density is positive at xi) or k1 == 1 (near 0 the integrand behaves
+    like x^(2 k1 - 3)), and E[1/||h||^2] = k1/(k1 - 1) otherwise. A
+    positive cutoff is integrated by adaptive quadrature.
     """
     if xi < 0:
         raise ValueError("xi must be >= 0")
     if cutoff_delta < 0:
         raise ValueError("cutoff_delta must be >= 0")
-    if fading.kind == "point_mass":
-        if fading.norm_x0 > xi + cutoff_delta:
-            return 1.0 / (fading.norm_x0 - xi) ** 2
-        return 0.0
     if cutoff_delta == 0.0:
         if xi > 0.0 or fading.k1 == 1:
             return math.inf
@@ -230,7 +212,6 @@ class BoundInputs:
     sigma2: float
     k2: int
     xi: float                                   # channel-norm threshold
-    pfa_variant: str = "derivation_consistent"
     # the stability constant all three bounds of a row use, computed once
     c1: float = field(init=False, repr=False, compare=False)
 
@@ -243,8 +224,6 @@ class BoundInputs:
             raise ValueError("k2 must be >= 1")
         if self.xi < 0.0 or self.sigma2 < 0.0:
             raise ValueError("xi and sigma2 must be >= 0")
-        if self.pfa_variant not in PFA_VARIANTS:
-            raise ValueError(f"pfa_variant not in {PFA_VARIANTS}")
         object.__setattr__(self, "c1", bpdn_stability_constant(self.delta_2k))
 
 
@@ -255,7 +234,6 @@ class DetectionBounds:
     pmd_raw: float
     pfa_raw: float
     divergent: bool     # margin tail integral diverged -> pmd is vacuous
-    variant: str
 
 
 def detection_error_bounds(inputs: BoundInputs, fading: FadingModel,
@@ -263,8 +241,12 @@ def detection_error_bounds(inputs: BoundInputs, fading: FadingModel,
     """Missed-detection / false-alarm probability bounds.
 
     pmd <= F(xi) + c_tail(xi) * c1^2 m sigma^2 / (alpha k2), with c_tail the
-    margin tail integral. pfa per variant: as printed, c1^2 m/(alpha xi
-    sigma^2); derivation-consistent (default), c1^2 m sigma^2 / (alpha xi).
+    margin tail integral and F the channel-norm law of `fading`.
+    pfa <= c1^2 m sigma^2 / (alpha xi), the derivation-consistent form
+    (PFA_BOUND_VARIANT). The paper prints c1^2 m / (alpha xi sigma^2),
+    which grows without limit as sigma^2 -> 0, so a noise-free receiver
+    would get the worst false-alarm bound; the derivation puts sigma^2 in
+    the numerator, and that form is the one evaluated.
     Values are clamped to [0, 1] with the raw values retained.
     """
     c1 = inputs.c1
@@ -277,18 +259,13 @@ def detection_error_bounds(inputs: BoundInputs, fading: FadingModel,
         divergent = math.isinf(tail)
         pmd_raw = fading.norm_cdf(inputs.xi) + tail * coef
 
-    if inputs.xi == 0.0:
-        pfa_raw = math.inf
-    elif inputs.pfa_variant == "as_printed":
-        pfa_raw = (c1 ** 2 * inputs.m / (inputs.alpha * inputs.xi * inputs.sigma2)
-                   if inputs.sigma2 > 0 else math.inf)
-    else:
-        pfa_raw = c1 ** 2 * inputs.m * inputs.sigma2 / (inputs.alpha * inputs.xi)
+    pfa_raw = (math.inf if inputs.xi == 0.0
+               else c1 ** 2 * inputs.m * inputs.sigma2 / (inputs.alpha * inputs.xi))
 
     clamp = lambda v: float(min(max(v, 0.0), 1.0))
     return DetectionBounds(pmd=clamp(pmd_raw), pfa=clamp(pfa_raw),
                            pmd_raw=float(pmd_raw), pfa_raw=float(pfa_raw),
-                           divergent=divergent, variant=inputs.pfa_variant)
+                           divergent=divergent)
 
 
 # ---------------------------------------------------------------------------
@@ -383,34 +360,24 @@ class RateEstimate:
     units: str = RATE_UNITS
 
 
-def simulated_ergodic_rate(cfg: SystemConfig, trials: int, delta_2k: float,
-                           perfect_csi: bool = False,
-                           error_budget: str = "certificate") -> RateEstimate:
+def simulated_ergodic_rate(cfg: SystemConfig, trials: int,
+                           delta_2k: float) -> RateEstimate:
     """Per-subcarrier rate of the parallel-channel decomposition, averaged
     over simulated activity/fading/estimation/detection.
 
-    For each detected active user, SINR(f) = (1-a)|g(f)|^2 / (s2 + q(f))
-    on its slot subcarriers. Per error_budget:
-
-      "certificate": g is the true gain and q = s2 c1^2 m/(n a), the
-          estimation-error power the closed-form bounds budget; estimation
-          enters through the detection outcome and the budgeted
-          interference. This is the variant comparable against
-          rate_lower_bound/rate_upper_bound (the realized solver error sits
-          far below its certificate, so realized estimates would land above
-          the upper bound's premise).
-      "actual": g is the estimated gain and q = (1-a)|g_true - g|^2, the
-          realized residual interference (diagnostic only).
-
-    Missed active users contribute zero rate. perfect_csi bypasses
-    estimation entirely (true gains, q = 0, genie detection).
+    For each detected active user, SINR(f) = (1-a)|g(f)|^2 / (s2 + q) on its
+    slot subcarriers, with g the true gain and q = s2 c1^2 m/(n a) the
+    estimation-error power that the recovery certificate, and so the
+    closed-form bounds, budget. Estimation enters through the detection
+    outcome and this budgeted interference, which makes the estimate
+    comparable against rate_lower_bound/rate_upper_bound (the realized
+    solver error sits far below its certificate). Missed active users
+    contribute zero rate.
     """
     if trials < 2:
         raise ValueError("need at least 2 trials for a standard error")
     if cfg.k2 < 1:
         raise ValueError("the rate estimator needs k2 >= 1")
-    if error_budget not in ("certificate", "actual"):
-        raise ValueError("error_budget must be 'certificate' or 'actual'")
 
     pilots = build_pilot_book(cfg)
     op = build_operator(cfg, pilots)
@@ -428,17 +395,11 @@ def simulated_ergodic_rate(cfg: SystemConfig, trials: int, delta_2k: float,
         data = draw_data(cfg, activity, rng)
         frame = transmit_receive(cfg, pilots, data, channels, rng,
                                  plan=plan, xi=op.xi)
-        if perfect_csi:
-            h_hat = channels.compound
-            detected = activity.active
+        if cfg.solver == "cosamp":
+            rec = cosamp(op, frame.y_window, k=max(cfg.k1 * cfg.k2, 1))
         else:
-            if cfg.solver == "cosamp":
-                rec = cosamp(op, frame.y_window, k=max(cfg.k1 * cfg.k2, 1))
-            else:
-                eps = noise_ball_radius(cfg)
-                rec = bpdn(op, frame.y_window, eps)
-            h_hat = rec.h_hat
-            detected = detect_active(rec.user_energies, cfg.xi_thr)
+            rec = bpdn(op, frame.y_window, noise_ball_radius(cfg))
+        detected = detect_active(rec.user_energies, cfg.xi_thr)
 
         rates = []
         for u in activity.active:
@@ -447,17 +408,9 @@ def simulated_ergodic_rate(cfg: SystemConfig, trials: int, delta_2k: float,
                 missed += 1
                 rates.append(0.0)
                 continue
-            subs = plan.user_subcarriers(u)
-            g_true = channel_gains(channels.per_user(u), subs, cfg.n)
-            if perfect_csi:
-                g, q = g_true, 0.0
-            elif error_budget == "certificate":
-                g, q = g_true, q_cert
-            else:
-                g = channel_gains(h_hat[u * cfg.t_cp:(u + 1) * cfg.t_cp],
-                                  subs, cfg.n)
-                q = (1.0 - cfg.alpha) * np.abs(g_true - g) ** 2
-            sinr = (1.0 - cfg.alpha) * np.abs(g) ** 2 / (cfg.sigma2 + q)
+            g = channel_gains(channels.per_user(u), plan.user_subcarriers(u),
+                              cfg.n)
+            sinr = (1.0 - cfg.alpha) * np.abs(g) ** 2 / (cfg.sigma2 + q_cert)
             rates.append(float(np.mean(np.log1p(sinr))))
         per_trial[t] = float(np.mean(rates))
 

@@ -179,12 +179,13 @@ def _dispatch(args) -> int:
 
     if args.command == "bounds":
         out = args.out or Path("bounds.csv")
-        fading = FadingModel.from_taps(cfg.k1)
         try:    # the bound evaluators own the domains of these flags
             harness.emit_bounds(cfg, _grid(args.alphas), xi=args.xi_norm,
-                                delta_2k=args.delta2k, fading=fading,
+                                delta_2k=args.delta2k,
                                 cutoff_delta=args.cutoff, out_path=out)
-            tail = margin_tail_integral(args.xi_norm, fading, args.cutoff)
+            tail = margin_tail_integral(args.xi_norm,
+                                        FadingModel.from_taps(cfg.k1),
+                                        args.cutoff)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if cfg.sigma2 > 0 and np.isinf(tail):

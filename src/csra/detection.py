@@ -21,7 +21,6 @@ class TrialMetrics:
     n_active_true: int
     n_erased: int              # erased symbols among detected users (|g| ~ 0)
     discarded: bool            # realized noise exceeded the solver's eps budget
-    seed: int                  # trial index that reproduces this trial
 
 
 def detect_active(user_energies: np.ndarray, xi_thr: float) -> np.ndarray:
@@ -75,7 +74,7 @@ def equalize_demodulate(y_freq: np.ndarray, h_hat: np.ndarray, plan: SlotPlan,
 
 def tally(truth_active: np.ndarray, detected: np.ndarray, tx_bits: np.ndarray,
           rx_bits: np.ndarray, modulation: str, n_erased: int = 0,
-          discarded: bool = False, seed: int = 0) -> TrialMetrics:
+          discarded: bool = False) -> TrialMetrics:
     """Count detection errors and symbol errors for one trial.
 
     Symbol errors are counted over the true-active users' payloads. Missed
@@ -114,7 +113,7 @@ def tally(truth_active: np.ndarray, detected: np.ndarray, tx_bits: np.ndarray,
     ser_det = errors_det / symbols_det if symbols_det else float("nan")
     return TrialMetrics(ser=ser, ser_detected_only=ser_det, n_md=n_md,
                         n_fa=n_fa, n_active_true=len(truth),
-                        n_erased=n_erased, discarded=discarded, seed=seed)
+                        n_erased=n_erased, discarded=discarded)
 
 
 def roc_sweep(trial_batch, xi_grid) -> list[tuple[float, float, float]]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import SystemConfig, SlotPlan, config_hash, slot_plan, trial_rng
-from .model import (build_pilot_book, draw_activity, draw_channels,
-                    draw_data, transmit_receive, circular_convolve)
+from .model import (build_pilot_book, channel_gains, delay_block,
+                    draw_activity, draw_channels, draw_data, transmit_receive)
 from .sensing import (SensingOperator, DenseOperator, build_operator,
                       rip_constant_exact)
 from .recovery import cosamp, bpdn
@@ -24,7 +24,7 @@ from .bounds import (FadingModel, BoundInputs, detection_error_bounds,
                      rate_lower_bound, rate_upper_bound, aloha_throughput,
                      bpdn_stability_constant, margin_tail_integral,
                      pilot_split_rate_gap, noise_ball_radius, RATE_UNITS,
-                     DELTA_MAX)
+                     DELTA_MAX, PFA_BOUND_VARIANT)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +123,7 @@ def run_trial(cfg: SystemConfig, trial_index: int,
                                             scenario.plan, detected,
                                             cfg.modulation)
     metrics = tally(activity.active, detected, frame.tx_bits, rx_bits,
-                    cfg.modulation, n_erased=n_erased, discarded=discarded,
-                    seed=trial_index)
+                    cfg.modulation, n_erased=n_erased, discarded=discarded)
     marks.append(time.perf_counter())
     return TrialRecord(trial_index=trial_index, metrics=metrics,
                        user_energies=rec.user_energies, active=activity.active,
@@ -247,12 +246,11 @@ def sweep_roc(cfg: SystemConfig, spec: SweepSpec, out_path=None,
 
 
 def emit_bounds(cfg: SystemConfig, alpha_grid, xi: float, delta_2k: float,
-                fading: FadingModel | None = None, cutoff_delta: float = 0.0,
-                out_path=None) -> list[list]:
-    """Closed-form bound rows over an alpha grid. xi is on the channel-norm
-    scale; rate_lower consumes the (clamped) pmd bound of the same row."""
-    if fading is None:
-        fading = FadingModel.from_taps(cfg.k1)
+                cutoff_delta: float = 0.0, out_path=None) -> list[list]:
+    """Closed-form bound rows over an alpha grid, under the fading law of
+    cfg.k1 taps. xi is on the channel-norm scale; rate_lower consumes the
+    (clamped) pmd bound of the same row."""
+    fading = FadingModel.from_taps(cfg.k1)
     h = config_hash(cfg)
     rows = []
     for alpha in alpha_grid:
@@ -263,8 +261,8 @@ def emit_bounds(cfg: SystemConfig, alpha_grid, xi: float, delta_2k: float,
         lower = rate_lower_bound(inputs, fading, pmd=det.pmd)
         upper = rate_upper_bound(inputs, fading)
         rows.append([float(alpha), delta_2k, cfg.m, cfg.n, cfg.sigma2, xi,
-                     det.pmd, det.variant, det.pfa, lower.raw, lower.value,
-                     upper, RATE_UNITS, h])
+                     det.pmd, PFA_BOUND_VARIANT, det.pfa, lower.raw,
+                     lower.value, upper, RATE_UNITS, h])
     if out_path is not None:
         write_csv(out_path, BOUNDS_HEADER, rows)
     return rows
@@ -319,14 +317,25 @@ def _toy_config(**overrides) -> SystemConfig:
 
 
 def _check_fft_convolution() -> CheckResult:
+    """The chain's channel gains against a direct cyclic convolution: for
+    y = circ(h) s, fft(y)[f] = g(f) fft(s)[f] at every subcarrier f, with g
+    from channel_gains both computed and read from a delay_block."""
     rng = np.random.default_rng(101)
+    n, t_cp = 16, 6
     worst = 0.0
     for _ in range(20):
-        n = 8
-        h = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        taps = np.zeros(t_cp, dtype=complex)
+        nz = rng.choice(t_cp, rng.integers(1, t_cp + 1), replace=False)
+        taps[nz] = rng.standard_normal(len(nz)) + 1j * rng.standard_normal(len(nz))
+        padded = np.concatenate([taps, np.zeros(n - t_cp)])
+        circ = padded[(np.arange(n)[:, None] - np.arange(n)) % n]
         s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        circ = np.array([[h[(i - j) % n] for j in range(n)] for i in range(n)])
-        worst = max(worst, float(np.max(np.abs(circular_convolve(h, s) - circ @ s))))
+        subs = np.sort(rng.choice(n, 5, replace=False))
+        y_hat = np.fft.fft(circ @ s)[subs]
+        s_hat = np.fft.fft(s)[subs]
+        for g in (channel_gains(taps, subs, n),
+                  channel_gains(taps, subs, n, block=delay_block(subs, t_cp, n))):
+            worst = max(worst, float(np.max(np.abs(g * s_hat - y_hat))))
     return CheckResult("fft_vs_direct_convolution", worst <= 1e-9,
                        f"max deviation {worst:.3e}")
 

@@ -215,15 +215,6 @@ def draw_data(cfg: SystemConfig, activity: ActivityPattern,
     return UserData(bits=bits, symbols=symbols)
 
 
-def circular_convolve(h_padded: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """circ(h_padded) @ s via the FFT identity circ(v) s = sqrt(n) W*(v_hat . s_hat)."""
-    h_padded = np.asarray(h_padded)
-    s = np.asarray(s)
-    if h_padded.shape != s.shape or h_padded.ndim != 1:
-        raise ValueError("circular_convolve expects two vectors of equal length")
-    return np.fft.ifft(np.fft.fft(h_padded) * np.fft.fft(s))
-
-
 def extract_window(y_freq: np.ndarray, window: np.ndarray,
                    xi: np.ndarray | None = None) -> np.ndarray:
     """Control-window observation.

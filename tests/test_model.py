@@ -10,8 +10,7 @@ from csra.config import (SystemConfig, control_window, lte_profile, slot_plan,
                          trial_rng)
 from csra.model import (build_pilot_book, channel_gains, delay_block,
                         draw_activity, draw_channels, draw_data,
-                        circular_convolve, transmit_receive, unitary_fft,
-                        unitary_ifft)
+                        transmit_receive, unitary_fft, unitary_ifft)
 from csra.sensing import randomized_multiplier
 
 
@@ -118,26 +117,30 @@ class TestChannels:
 
 
 class TestConvolution:
+    """The cyclic channel as the chain applies it: the gains multiply the
+    spectrum, circ(h) s = ifft(g * fft(s)) with g = channel_gains(h)."""
+
     def test_impulses(self):
         rng = np.random.default_rng(4)
         s = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        h0 = np.zeros(16, dtype=complex)
+        subs = np.arange(16)
+        h0 = np.zeros(4, dtype=complex)
         h0[0] = 1.0
-        assert np.allclose(circular_convolve(h0, s), s, atol=1e-12)
-        h1 = np.zeros(16, dtype=complex)
+        g0 = channel_gains(h0, subs, 16)
+        assert np.allclose(np.fft.ifft(g0 * np.fft.fft(s)), s, atol=1e-12)
+        h1 = np.zeros(4, dtype=complex)
         h1[1] = 1.0
-        assert np.allclose(circular_convolve(h1, s), np.roll(s, 1), atol=1e-12)
+        g1 = channel_gains(h1, subs, 16)
+        assert np.allclose(g1, np.exp(-2j * np.pi * subs / 16), atol=1e-12)
+        assert np.allclose(np.fft.ifft(g1 * np.fft.fft(s)), np.roll(s, 1), atol=1e-12)
 
     def test_matches_dense_circulant(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             h = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             s = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            assert np.max(np.abs(circular_convolve(h, s) - dense_circulant(h) @ s)) <= 1e-10
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            circular_convolve(np.zeros(4), np.zeros(5))
+            y = np.fft.ifft(channel_gains(h, np.arange(8), 8) * np.fft.fft(s))
+            assert np.max(np.abs(y - dense_circulant(h) @ s)) <= 1e-10
 
 
 class TestChannelGains:
