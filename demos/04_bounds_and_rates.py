@@ -18,8 +18,8 @@ from csra.sensing import build_operator, rip_constant_exact
 def enumerable_cfg(**kw):
     base = dict(n=4096, m=192, window_mode="random", t_cp=8, u_max=3, k1=1,
                 k2=2, b_slots=3, alpha=0.5, snr_db=16.0, modulation="bpsk",
-                bits_per_user=16, seed=901, trials=10, sensing_mode="plain",
-                solver="cosamp", xi_thr=0.09)
+                bits_per_user=16, seed=901, trials=10, solver="cosamp",
+                xi_thr=0.09)
     base.update(kw)
     return SystemConfig(**base)
 

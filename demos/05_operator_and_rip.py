@@ -12,7 +12,7 @@ from csra.sensing import (build_operator, rip_constant_exact,
 
 cfg = SystemConfig(n=1024, m=96, window_mode="random", t_cp=8, u_max=3, k1=1,
                    k2=2, b_slots=3, alpha=0.5, snr_db=20.0, modulation="bpsk",
-                   bits_per_user=16, seed=11, sensing_mode="plain")
+                   bits_per_user=16, seed=11)
 op = build_operator(cfg)
 dense = dense_reference(op)   # from the definition, not op's own blocks
 print(f"operator: {op.shape[0]} window samples x {op.shape[1]} compound taps")

@@ -5,12 +5,11 @@ from .config import (SystemConfig, SlotPlan, ConfigError, control_window,
                      write_config, config_hash, desk_profile, lte_profile)
 from .model import (PilotBook, ActivityPattern, ChannelProfile, UserData,
                     FrameSignals, build_pilot_book, draw_activity,
-                    draw_channels, draw_data, bits_to_symbols, extract_window,
-                    transmit_receive, unitary_fft, unitary_ifft)
+                    draw_channels, draw_data, bits_to_symbols,
+                    transmit_receive)
 from .sensing import (SensingOperator, DenseOperator, RipReport,
-                      build_operator, randomized_multiplier, restricted_lstsq,
-                      rip_constant_exact, rip_sample_complexity,
-                      export_dense_csv)
+                      build_operator, restricted_lstsq, rip_constant_exact,
+                      rip_sample_complexity, export_dense_csv)
 from .recovery import RecoveryResult, cosamp, bpdn, debias
 from .detection import (TrialMetrics, detect_active, equalize_demodulate,
                         hard_decisions, tally, roc_sweep)

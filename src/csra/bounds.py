@@ -393,8 +393,7 @@ def simulated_ergodic_rate(cfg: SystemConfig, trials: int,
         activity = draw_activity(cfg, rng)
         channels = draw_channels(cfg, activity, rng)
         data = draw_data(cfg, activity, rng)
-        frame = transmit_receive(cfg, pilots, data, channels, rng,
-                                 plan=plan, xi=op.xi)
+        frame = transmit_receive(cfg, pilots, data, channels, rng, plan=plan)
         if cfg.solver == "cosamp":
             rec = cosamp(op, frame.y_window, k=max(cfg.k1 * cfg.k2, 1))
         else:

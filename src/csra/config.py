@@ -13,14 +13,14 @@ import numpy as np
 
 MODULATIONS = {"bpsk": 1, "qpsk": 2}
 WINDOW_MODES = ("contiguous", "random")
-SENSING_MODES = ("plain", "randomized")
 SOLVERS = ("cosamp", "bpdn")
 
-# spawn_key tags for the per-scenario / per-trial RNG streams
+# spawn_key tags for the per-scenario / per-trial RNG streams. Scenario
+# stream 1 is retired; the window stream keeps 2, so every random window
+# keeps its draw.
 _SCENARIO_TAG = 0
 _TRIAL_TAG = 1
 PILOT_STREAM = 0
-MULTIPLIER_STREAM = 1
 WINDOW_STREAM = 2
 
 
@@ -46,7 +46,7 @@ class SystemConfig:
     bits_per_user: int = 32
     seed: int = 12345
     trials: int = 200
-    sensing_mode: str = "plain"
+    sensing_mode: str = "plain"  # the one receiver, P_B W y; kept for file/hash bytes
 
     xi_thr: float = 0.05        # activity decision: ||h_hat_u||^2 > xi_thr
     solver: str = "cosamp"
@@ -99,7 +99,8 @@ class SystemConfig:
             (not np.isnan(c.snr_db), "snr_db must not be NaN"),
             (c.b_slots >= 1, "b_slots must be >= 1"),
             (c.window_mode in WINDOW_MODES, f"window_mode not in {WINDOW_MODES}"),
-            (c.sensing_mode in SENSING_MODES, f"sensing_mode not in {SENSING_MODES}"),
+            (c.sensing_mode == "plain", "sensing_mode must be 'plain': the "
+             "randomized time-domain multiplier mode was removed"),
             (c.modulation in MODULATIONS, f"modulation not in {tuple(MODULATIONS)}"),
             (c.solver in SOLVERS, f"solver not in {SOLVERS}"),
             (c.bits_per_user >= 1, "bits_per_user must be >= 1"),
@@ -122,9 +123,9 @@ class SystemConfig:
 
 
 # ---------------------------------------------------------------------------
-# RNG streams. One master seed; scenario-level draws (pilots, window,
-# multipliers) and per-trial draws come from disjoint SeedSequence spawn keys,
-# so trials are independent and safe to run in parallel in any order.
+# RNG streams. One master seed; scenario-level draws (pilots, window) and
+# per-trial draws come from disjoint SeedSequence spawn keys, so trials are
+# independent and safe to run in parallel in any order.
 # ---------------------------------------------------------------------------
 
 def scenario_rng(cfg: SystemConfig, stream: int) -> np.random.Generator:
@@ -274,7 +275,7 @@ def desk_profile(**overrides) -> SystemConfig:
     base = dict(n=1024, m=256, window_mode="random", t_cp=128, u_max=50,
                 k1=5, k2=10, b_slots=50, alpha=0.5, snr_db=20.0,
                 modulation="bpsk", bits_per_user=14, seed=12345, trials=200,
-                sensing_mode="plain", solver="bpdn", xi_thr=0.08)
+                solver="bpdn", xi_thr=0.08)
     base.update(overrides)
     return SystemConfig(**base)
 
@@ -286,6 +287,6 @@ def lte_profile(**overrides) -> SystemConfig:
     base = dict(n=24576, m=839, window_mode="random", t_cp=300, u_max=100,
                 k1=6, k2=10, b_slots=100, alpha=0.5, snr_db=20.0,
                 modulation="bpsk", bits_per_user=200, seed=12345, trials=200,
-                sensing_mode="plain", solver="cosamp", xi_thr=0.08)
+                solver="cosamp", xi_thr=0.08)
     base.update(overrides)
     return SystemConfig(**base)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SystemConfig, SlotPlan, config_hash, slot_plan, trial_rng
+from .config import (SystemConfig, SlotPlan, WINDOW_MODES, config_hash,
+                     slot_plan, trial_rng)
 from .model import (build_pilot_book, channel_gains, delay_block,
                     draw_activity, draw_channels, draw_data, transmit_receive)
 from .sensing import (SensingOperator, DenseOperator, build_operator,
@@ -82,7 +83,7 @@ class Scenario:
 
     cfg: SystemConfig
     plan: SlotPlan
-    op: SensingOperator       # holds the window, pilots and multiplier
+    op: SensingOperator       # holds the window and pilots
     eps: float
 
 
@@ -109,7 +110,7 @@ def run_trial(cfg: SystemConfig, trial_index: int,
     marks.append(time.perf_counter())
     op = scenario.op
     frame = transmit_receive(cfg, op.pilots, data, channels, rng,
-                             plan=scenario.plan, xi=op.xi)
+                             plan=scenario.plan)
     marks.append(time.perf_counter())
     discarded = False
     if cfg.solver == "cosamp":
@@ -311,7 +312,7 @@ def adjoint_mismatch(op, rng: np.random.Generator, pairs: int = 100) -> float:
 def _toy_config(**overrides) -> SystemConfig:
     base = dict(n=256, m=64, window_mode="random", t_cp=32, u_max=8, k1=1,
                 k2=5, b_slots=8, alpha=0.5, snr_db=20.0, modulation="bpsk",
-                bits_per_user=16, seed=777, trials=10, sensing_mode="plain")
+                bits_per_user=16, seed=777, trials=10)
     base.update(overrides)
     return SystemConfig(**base)
 
@@ -342,22 +343,18 @@ def _check_fft_convolution() -> CheckResult:
 
 def dense_reference(op: SensingOperator) -> np.ndarray:
     """The operator's matrix from its definition through full-band FFTs,
-    independent of its own blocks: column (u, t) = fft(xi * ifft(S))[window]
-    with S the n-point spectrum window_values[u] * fft(e_t, n) on the window
-    and zero elsewhere (xi = 1 in plain mode)."""
+    independent of its own blocks: column (u, t) is
+    window_values[u] * fft(e_t, n)[window]."""
     delay_spectra = np.fft.fft(np.eye(op.t_cp), op.n, axis=1)[:, op.window]
-    spectra = np.zeros((op.u_max, op.t_cp, op.n), dtype=complex)
-    spectra[:, :, op.window] = op.pilots.window_values[:, None, :] * delay_spectra
-    if op.xi is not None:
-        spectra = np.fft.fft(op.xi * np.fft.ifft(spectra, axis=2), axis=2)
-    return spectra[:, :, op.window].reshape(op.u_max * op.t_cp, op.m).T
+    columns = op.pilots.window_values[:, None, :] * delay_spectra
+    return columns.reshape(op.u_max * op.t_cp, op.m).T
 
 
 def _check_operator_dense() -> CheckResult:
     rng = np.random.default_rng(102)
     worst = 0.0
-    for mode in ("plain", "randomized"):
-        op = build_operator(_toy_config(sensing_mode=mode))
+    for mode in WINDOW_MODES:
+        op = build_operator(_toy_config(window_mode=mode))
         dense = dense_reference(op)
         for _ in range(10):
             h = rng.standard_normal(op.shape[1]) + 1j * rng.standard_normal(op.shape[1])
@@ -369,8 +366,8 @@ def _check_operator_dense() -> CheckResult:
 
 def _check_adjoint() -> CheckResult:
     rng = np.random.default_rng(103)
-    worst = max(adjoint_mismatch(build_operator(_toy_config(sensing_mode=m)), rng)
-                for m in ("plain", "randomized"))
+    worst = max(adjoint_mismatch(build_operator(_toy_config(window_mode=m)), rng)
+                for m in WINDOW_MODES)
     return CheckResult("adjoint_identity", worst <= 1e-10,
                        f"max mismatch {worst:.3e}")
 

@@ -20,14 +20,6 @@ from .config import (SystemConfig, SlotPlan, control_window, slot_plan,
                      scenario_rng, PILOT_STREAM)
 
 
-def unitary_fft(x: np.ndarray) -> np.ndarray:
-    return np.fft.fft(x, norm="ortho")
-
-
-def unitary_ifft(x: np.ndarray) -> np.ndarray:
-    return np.fft.ifft(x, norm="ortho")
-
-
 # ---------------------------------------------------------------------------
 # Partial DFTs: the delay-major block and per-subcarrier channel gains
 # ---------------------------------------------------------------------------
@@ -215,28 +207,13 @@ def draw_data(cfg: SystemConfig, activity: ActivityPattern,
     return UserData(bits=bits, symbols=symbols)
 
 
-def extract_window(y_freq: np.ndarray, window: np.ndarray,
-                   xi: np.ndarray | None = None) -> np.ndarray:
-    """Control-window observation.
-
-    Plain mode (xi None): restriction of y_hat to the window, P_B W y.
-    Randomized mode: the receiver multiplies the time-domain signal
-    pointwise by xi before the FFT, P_B W M_xi y.
-    """
-    if xi is None:
-        return y_freq[window]
-    y_time = unitary_ifft(y_freq)
-    return unitary_fft(xi * y_time)[window]
-
-
 def transmit_receive(cfg: SystemConfig, pilots: PilotBook, data: UserData,
                      channels: ChannelProfile, rng: np.random.Generator,
-                     plan: SlotPlan | None = None,
-                     xi: np.ndarray | None = None) -> FrameSignals:
+                     plan: SlotPlan | None = None) -> FrameSignals:
     """Superimpose all active users through their cyclic channels, add noise,
-    and extract the control-window observation. Each user's pilot (on the
-    window) and payload (on its slot) occupy disjoint subcarriers, so each
-    part is added where it lives."""
+    and restrict y_hat to the control window, the observation P_B W y. Each
+    user's pilot (on the window) and payload (on its slot) occupy disjoint
+    subcarriers, so each part is added where it lives."""
     window = pilots.window
     if plan is None:
         plan = slot_plan(cfg, window)
@@ -258,8 +235,6 @@ def transmit_receive(cfg: SystemConfig, pilots: PilotBook, data: UserData,
     noise = np.sqrt(cfg.sigma2 / 2.0) * (rng.standard_normal(cfg.n)
                                          + 1j * rng.standard_normal(cfg.n))
     y_freq = y_clean + noise
-    y_window = extract_window(y_freq, window, xi)
-    noise_window = extract_window(noise, window, xi)
-    return FrameSignals(y_freq=y_freq, y_window=y_window, tx_bits=data.bits,
-                        tx_symbols=tx_symbols,
-                        noise_window_norm=float(np.linalg.norm(noise_window)))
+    return FrameSignals(y_freq=y_freq, y_window=y_freq[window],
+                        tx_bits=data.bits, tx_symbols=tx_symbols,
+                        noise_window_norm=float(np.linalg.norm(noise[window])))

@@ -1,16 +1,13 @@
 """Measurement operator mapping the compound channel to window observations.
 
 The operator A acts on h in C^{u_max * t_cp} (compound index u*t_cp + t) and
-returns the m control-window samples of the superimposed pilot responses.
-In plain mode its (f, (u,t)) entry is p_hat_u(f) * exp(-2i*pi*f*t/n), so
+returns the m control-window samples P_B W y of the superimposed pilot
+responses. Its (f, (u,t)) entry is p_hat_u(f) * exp(-2i*pi*f*t/n), so
 A h = sum_u P_u * (D^T @ h_u) with D the pilot book's fixed t_cp x m
 delay-major partial-DFT block (one row per delay, one column per window
 subcarrier): apply and adjoint are two small GEMMs and columns() gathers
-contiguous rows of D. In randomized mode the receiver applies a
-fixed pointwise time-domain multiplier xi before the FFT. The pilots live
-on the window, so that operator is C @ A_plain with C the m x m window
-mixer C[f, g] = fft(xi)[(f - g) mod n] / n, one more GEMM per call. A dense
-materialization is kept under a column cap as an oracle.
+contiguous rows of D. A dense materialization is kept under a column cap as
+an oracle.
 
 Both operator classes also expose `gram_eigh`, the eigendecomposition
 (eigenvalues ascending, eigenvectors as columns) of the m x m Gram A A^H,
@@ -25,24 +22,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .config import SystemConfig, scenario_rng, MULTIPLIER_STREAM
+from .config import SystemConfig
 from .model import PilotBook, build_pilot_book
-
-
-def randomized_multiplier(cfg: SystemConfig) -> np.ndarray | None:
-    """Unit-modulus random time-domain multipliers, fixed per scenario.
-    Returns None in plain sensing mode."""
-    if cfg.sensing_mode != "randomized":
-        return None
-    rng = scenario_rng(cfg, MULTIPLIER_STREAM)
-    return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=cfg.n))
-
-
-def _window_mixer(window: np.ndarray, xi: np.ndarray, n: int) -> np.ndarray:
-    """m x m block C[f, g] = fft(xi)[(f - g) mod n] / n over window rows and
-    columns: P_B W M_xi W* restricted to spectra supported on the window."""
-    w = np.asarray(window, dtype=np.int64)
-    return np.fft.fft(xi)[(w[:, None] - w[None, :]) % n] / n
 
 
 # materialize() is a toy-scale oracle; the LTE operator would take
@@ -53,24 +34,18 @@ MATERIALIZE_COL_CAP = 4096
 class SensingOperator:
     """Matrix-free compound measurement operator with exact adjoint."""
 
-    def __init__(self, pilots: PilotBook, t_cp: int,
-                 xi: np.ndarray | None = None):
+    def __init__(self, pilots: PilotBook, t_cp: int):
         self.pilots = pilots
         self.window = pilots.window
         self.n = pilots.n
         self.u_max = pilots.u_max
         self.t_cp = t_cp
         self.m = len(self.window)
-        # a trivial multiplier collapses to the plain path (bit-identical)
-        if xi is not None and np.all(xi == 1):
-            xi = None
-        self.xi = xi
         if pilots.block.shape != (t_cp, self.m):
             raise ValueError(f"pilot book block has shape {pilots.block.shape}, "
                              f"expected ({t_cp}, {self.m})")
-        # the block both GEMMs and columns() share, and the randomized mixer
+        # the block both GEMMs and columns() share
         self._block = pilots.block
-        self._mix = None if xi is None else _window_mixer(self.window, xi, self.n)
 
     @property
     def shape(self):
@@ -83,28 +58,20 @@ class SensingOperator:
                              f"{self.u_max * self.t_cp}, got shape {h.shape}")
         return h
 
-    def _mixed(self, v: np.ndarray) -> np.ndarray:
-        return v if self._mix is None else self._mix @ v
-
     @cached_property
     def gram_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvectors) of A A^H. In plain mode the Gram is
+        """(eigenvalues, eigenvectors) of A A^H. The Gram is
         (W^T conj(W)) * (D^T conj(D)) elementwise, W the pilot window values
-        and D the delay-major block; the randomized mode mixes it to
-        C G C^H."""
+        and D the delay-major block."""
         values = self.pilots.window_values
         gram = (values.T @ np.conj(values)) * (self._block.T @ np.conj(self._block))
-        if self._mix is not None:
-            gram = self._mix @ gram @ np.conj(self._mix.T)
         return np.linalg.eigh(gram)
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        """A @ h: a GEMM with the partial-DFT block, then the window mixer
-        (randomized)."""
+        """A @ h: a GEMM with the partial-DFT block."""
         h = self._check_h(h)
         taps = h.reshape(self.u_max, self.t_cp)
-        return self._mixed(np.sum(self.pilots.window_values * (taps @ self._block),
-                                  axis=0))
+        return np.sum(self.pilots.window_values * (taps @ self._block), axis=0)
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A* @ y; exact adjoint of apply."""
@@ -112,8 +79,6 @@ class SensingOperator:
         if y.shape != (self.m,):
             raise ValueError(f"expected window vector of length {self.m}, "
                              f"got shape {y.shape}")
-        if self._mix is not None:
-            y = np.conj(np.conj(y) @ self._mix)     # C^H y
         # (conj(P) * y) @ conj(D^T), conjugating the small product instead
         return np.conj((self.pilots.window_values * np.conj(y))
                        @ self._block.T).reshape(-1)
@@ -129,7 +94,7 @@ class SensingOperator:
         # bits of values * block
         rows = self._block[delays]
         np.multiply(self.pilots.window_values[users], rows, out=rows)
-        return self._mixed(rows.T)
+        return rows.T
 
     def materialize(self) -> np.ndarray:
         """Full dense matrix; toy-scale oracle only."""
@@ -177,7 +142,7 @@ def build_operator(cfg: SystemConfig,
                    pilots: PilotBook | None = None) -> SensingOperator:
     if pilots is None:
         pilots = build_pilot_book(cfg)
-    return SensingOperator(pilots, cfg.t_cp, xi=randomized_multiplier(cfg))
+    return SensingOperator(pilots, cfg.t_cp)
 
 
 # ---------------------------------------------------------------------------

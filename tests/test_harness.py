@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import os
 import re
 import subprocess
 import sys
@@ -13,23 +14,27 @@ from hypothesis import assume, given, settings, strategies as st
 
 from csra.config import (SystemConfig, ConfigError, control_window, slot_plan,
                          read_config, write_config, config_hash, desk_profile,
-                         lte_profile, MODULATIONS, WINDOW_MODES, SENSING_MODES,
-                         SOLVERS)
+                         lte_profile, MODULATIONS, WINDOW_MODES, SOLVERS)
 from csra import cli, harness
 from csra.harness import (SweepSpec, run_trial, run_trials, aggregate,
                           sweep_alpha, sweep_roc, emit_bounds, emit_throughput,
                           make_scenario, validate, adjoint_mismatch,
-                          LINK_HEADER, ROC_HEADER, BOUNDS_HEADER)
+                          dense_reference, LINK_HEADER, ROC_HEADER,
+                          BOUNDS_HEADER)
 from csra.sensing import build_operator
 
 
 def toy_cfg(**kw):
     base = dict(n=512, m=64, window_mode="random", t_cp=16, u_max=6, k1=2,
                 k2=3, b_slots=6, alpha=0.5, snr_db=20.0, modulation="bpsk",
-                bits_per_user=16, seed=2718, trials=5, sensing_mode="plain",
-                solver="cosamp")
+                bits_per_user=16, seed=2718, trials=5, solver="cosamp")
     base.update(kw)
     return SystemConfig(**base)
+
+
+def numpy_on_openblas() -> bool:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return "openblas" in str(blas.get("name", "")).lower()
 
 
 def count_fft_calls(monkeypatch) -> list:
@@ -51,6 +56,7 @@ class TestConfig:
         for kw in (dict(m=4096), dict(t_cp=4096), dict(k1=100),
                    dict(k2=99), dict(alpha=1.5), dict(b_slots=0),
                    dict(modulation="qam64"), dict(sensing_mode="x"),
+                   dict(sensing_mode="randomized"),
                    dict(bits_per_user=10 ** 6), dict(window_mode="blocky")):
             with pytest.raises(ConfigError):
                 toy_cfg(**kw)
@@ -102,7 +108,6 @@ class TestConfig:
             seed=data.draw(st.integers(0, 2 ** 63)),
             trials=data.draw(st.integers(1, 10 ** 6)),
             window_mode=data.draw(st.sampled_from(WINDOW_MODES)),
-            sensing_mode=data.draw(st.sampled_from(SENSING_MODES)),
             solver=data.draw(st.sampled_from(SOLVERS)),
             xi_thr=data.draw(st.floats(min_value=0.0, allow_nan=False)),
         )
@@ -232,11 +237,11 @@ class TestTrials:
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n_trials=st.integers(2, 5),
            solver=st.sampled_from(SOLVERS),
-           sensing_mode=st.sampled_from(SENSING_MODES),
+           window_mode=st.sampled_from(WINDOW_MODES),
            k2=st.integers(0, 3))
     def test_parallelism_invariance_property(self, seed, n_trials, solver,
-                                             sensing_mode, k2):
-        cfg = toy_cfg(seed=seed, solver=solver, sensing_mode=sensing_mode,
+                                             window_mode, k2):
+        cfg = toy_cfg(seed=seed, solver=solver, window_mode=window_mode,
                       k2=k2)
         serial = run_trials(cfg, n_trials, threads=1)
         parallel = run_trials(cfg, n_trials, threads=2)
@@ -299,8 +304,8 @@ class TestTrials:
         calls = count_fft_calls(monkeypatch)
         simulated_ergodic_rate(toy_cfg(), trials=3, delta_2k=0.2)
         assert calls == []
-        # the counter sees the randomized mode's receiver FFTs
-        run_trial(toy_cfg(sensing_mode="randomized"), 1)
+        # the counter sees the full-band FFTs of the dense oracle
+        dense_reference(build_operator(toy_cfg()))
         assert calls
 
     def test_bpdn_discard_flag_counts(self):
@@ -323,6 +328,47 @@ class TestCsvEmission:
         assert header == LINK_HEADER
         assert header[:7] == ["alpha", "ser", "p_md", "p_fa", "trials",
                               "discarded", "seed"]
+
+    # SHA-256 of small link-sim/roc tables from the shipped profiles. Their
+    # cells are means of decision counts, so the bytes move only when a
+    # detection or symbol decision flips, not with BLAS round-off.
+    RUN_DIGESTS = {
+        "desk-bpdn": (["link-sim", "--profile", "desk", "--alphas", "0.31,0.7",
+                       "--trials", "4"],
+                      "2b1fee97da6e105095e2a6f8fc1b95bd726e4f5d3636ec1ffc47d1290c2755f0"),
+        "desk-roc": (["roc", "--profile", "desk", "--trials", "4"],
+                     "e0842412eec06fbce5045cb598884b7a2235a9b2ea77e314956d1f09b366c379"),
+        "desk-cosamp": (["link-sim", "--profile", "desk", "--solver", "cosamp",
+                         "--alphas", "0.31,0.7", "--trials", "20"],
+                        "cabcdbef6916573f278526ec7d92da8f0fcb97fb536214100f5c1d3b1bf166a9"),
+        "lte-cosamp": (["link-sim", "--profile", "lte", "--alphas", "0.5",
+                        "--trials", "4"],
+                       "23d0bc0af7eed3f5b8a7134c67de92798b782cae601652ef548ad652e11d50ed"),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUN_DIGESTS))
+    def test_run_csv_bytes_pinned(self, tmp_path, capsys, run):
+        argv, digest = self.RUN_DIGESTS[run]
+        out = tmp_path / "run.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_link_csv_independent_of_blas_threads(self, tmp_path):
+        if not numpy_on_openblas():
+            pytest.skip("numpy is not built on OpenBLAS")
+        cfg_path = tmp_path / "scenario.cfg"
+        write_config(toy_cfg(trials=3, solver="bpdn"), cfg_path)
+        tables = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "csra.cli", "link-sim", "--config",
+                 str(cfg_path), "--alphas", "0.3,0.8", "--out", str(out)],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            tables.append(out.read_bytes())
+        assert tables[0] == tables[1]
 
     def test_link_csv_nan_sentinel(self, tmp_path):
         cfg = toy_cfg(k2=0)
@@ -463,10 +509,11 @@ class TestCli:
 
     def test_config_error_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("nonsense_key = 7\n")
-        code = cli.main(["link-sim", "--config", str(bad)])
-        assert code == 1
-        assert "config error" in capsys.readouterr().err
+        for text in ("nonsense_key = 7\n", "sensing_mode = randomized\n"):
+            bad.write_text(text)
+            code = cli.main(["link-sim", "--config", str(bad)])
+            assert code == 1
+            assert "config error: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["link-sim", "roc"])
     @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -592,13 +639,24 @@ class TestCli:
         assert code == 0 and out.exists()
 
     def test_bounds_reports_divergent_tail(self, tmp_path, capsys):
+        # the note reads the table: it prints when every pmd_bound clamps
+        # to 1, whether the tail diverges (xi_norm 0.3) or the noise term
+        # swamps a finite one (xi_norm 0 at desk noise)
         out = tmp_path / "bounds.csv"
-        assert cli.main(["bounds", "--alphas", "0.5", "--out", str(out)]) == 0
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "diverges at xi_norm = 0.3" in err
-        assert cli.main(["bounds", "--alphas", "0.5", "--xi-norm", "0",
-                         "--out", str(out)]) == 0
+        for xi_norm in ("0.3", "0"):
+            assert cli.main(["bounds", "--alphas", "0.5", "--xi-norm", xi_norm,
+                             "--out", str(out)]) == 0
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1, err
+            assert f"xi_norm = {float(xi_norm)}, cutoff = 0.0" in err
+            assert "every pmd_bound is vacuous" in err
+        # at 60 dB the bound informs (pmd about 0.005): no note
+        cfg_path = tmp_path / "quiet.cfg"
+        write_config(desk_profile(snr_db=60.0), cfg_path)
+        assert cli.main(["bounds", "--config", str(cfg_path), "--alphas", "0.5",
+                         "--xi-norm", "0", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
+        assert 0.0 < float(out.read_text().splitlines()[1].split(",")[6]) < 0.01
 
     @pytest.mark.parametrize("flag, value", [("--cutoff", "-1"),
                                              ("--xi-norm", "-0.5"),
@@ -624,8 +682,7 @@ class TestCli:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="reads /proc/self/maps")
     def test_import_maps_one_openblas(self):
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        if "openblas" not in str(blas.get("name", "")).lower():
+        if not numpy_on_openblas():
             pytest.skip("numpy is not built on OpenBLAS")
         code = ("import csra\n"
                 "with open('/proc/self/maps') as f:\n"

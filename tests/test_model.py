@@ -10,14 +10,13 @@ from csra.config import (SystemConfig, control_window, lte_profile, slot_plan,
                          trial_rng)
 from csra.model import (build_pilot_book, channel_gains, delay_block,
                         draw_activity, draw_channels, draw_data,
-                        transmit_receive, unitary_fft, unitary_ifft)
-from csra.sensing import randomized_multiplier
+                        transmit_receive)
 
 
 def toy_cfg(**kw):
     base = dict(n=256, m=64, window_mode="contiguous", t_cp=32, u_max=8, k1=2,
                 k2=5, b_slots=8, alpha=0.5, snr_db=20.0, modulation="bpsk",
-                bits_per_user=16, seed=321, trials=4, sensing_mode="plain")
+                bits_per_user=16, seed=321, trials=4)
     base.update(kw)
     return SystemConfig(**base)
 
@@ -230,9 +229,9 @@ class TestTransmitReceive:
             h_pad[:cfg.t_cp] = ch.per_user(u)
             x_freq = np.zeros(cfg.n, dtype=complex)
             x_freq[plan.user_subcarriers(u)] = frame.tx_symbols[u]
-            tx_time = unitary_ifft(pilot_spectrum(pilots, u) + x_freq)
+            tx_time = np.fft.ifft(pilot_spectrum(pilots, u) + x_freq, norm="ortho")
             y_time += dense_circulant(h_pad) @ tx_time
-        oracle = unitary_fft(y_time)
+        oracle = np.fft.fft(y_time, norm="ortho")
         assert np.max(np.abs(oracle - frame.y_freq)) <= 1e-9
 
     def test_power_accounting(self):
@@ -260,7 +259,7 @@ class TestTransmitReceive:
     @pytest.mark.parametrize("overrides", [
         dict(window_mode="contiguous"),
         dict(window_mode="random"),
-        dict(window_mode="random", sensing_mode="randomized"),
+        dict(window_mode="random", modulation="qpsk"),
         dict(window_mode="contiguous", b_slots=3),   # shared slots
     ])
     def test_matches_full_band_formula_bitwise(self, overrides):
@@ -270,14 +269,13 @@ class TestTransmitReceive:
         cfg = toy_cfg(**overrides)
         pilots = build_pilot_book(cfg)
         plan = slot_plan(cfg)
-        xi = randomized_multiplier(cfg)
         for t in range(4):
             rng = trial_rng(cfg, t)
             act = draw_activity(cfg, rng)
             ch = draw_channels(cfg, act, rng)
             data = draw_data(cfg, act, rng)
             noise_rng = copy.deepcopy(rng)
-            frame = transmit_receive(cfg, pilots, data, ch, rng, plan=plan, xi=xi)
+            frame = transmit_receive(cfg, pilots, data, ch, rng, plan=plan)
             y_clean = np.zeros(cfg.n, dtype=complex)
             for u in act.active:
                 x_freq = np.zeros(cfg.n, dtype=complex)
@@ -288,11 +286,8 @@ class TestTransmitReceive:
                                                  + 1j * noise_rng.standard_normal(cfg.n))
             y_freq = y_clean + noise
             assert np.array_equal(frame.y_freq, y_freq)
-            if xi is None:
-                y_window = y_freq[pilots.window]
-            else:
-                y_window = unitary_fft(xi * unitary_ifft(y_freq))[pilots.window]
-            assert np.array_equal(frame.y_window, y_window)
+            assert np.array_equal(frame.y_window, y_freq[pilots.window])
+            assert frame.noise_window_norm == np.linalg.norm(noise[pilots.window])
 
     def test_deterministic(self):
         cfg = toy_cfg()
@@ -306,10 +301,3 @@ class TestTransmitReceive:
         assert np.array_equal(a.y_freq, b.y_freq)
         assert np.array_equal(a.y_window, b.y_window)
         assert np.array_equal(a.tx_bits, b.tx_bits)
-
-
-def test_parseval():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        x = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-        assert abs(np.linalg.norm(unitary_fft(x)) - np.linalg.norm(x)) <= 1e-10

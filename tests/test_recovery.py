@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from csra.config import SystemConfig, trial_rng
+from csra.config import SystemConfig, WINDOW_MODES, trial_rng
 from csra.model import draw_activity, draw_channels
 from csra import recovery
 from csra.recovery import _top, cosamp, bpdn, debias
@@ -16,7 +16,7 @@ from csra.sensing import DenseOperator, build_operator
 def toy_cfg(**kw):
     base = dict(n=256, m=64, window_mode="random", t_cp=32, u_max=8, k1=1,
                 k2=5, b_slots=8, alpha=0.5, snr_db=np.inf, modulation="bpsk",
-                bits_per_user=16, seed=424, trials=4, sensing_mode="plain")
+                bits_per_user=16, seed=424, trials=4)
     base.update(kw)
     return SystemConfig(**base)
 
@@ -158,7 +158,7 @@ def cosamp_reference(op, y, k, max_iter=50):
 @st.composite
 def cosamp_problems(draw):
     """Gaussian DenseOperators with 3k <= 3m/4 (merged gathers stay well
-    conditioned), or the toy SensingOperator in either mode; y is a k-sparse
+    conditioned), or the toy SensingOperator on either window; y is a k-sparse
     signal plus noise of a drawn level."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     if draw(st.booleans()):
@@ -168,8 +168,7 @@ def cosamp_problems(draw):
                            + 1j * rng.standard_normal(shape))
         k = draw(st.integers(1, m // 4))
     else:
-        op = build_operator(toy_cfg(sensing_mode=draw(
-            st.sampled_from(["plain", "randomized"]))))
+        op = build_operator(toy_cfg(window_mode=draw(st.sampled_from(WINDOW_MODES))))
         k = draw(st.integers(1, 8))
     h = np.zeros(op.shape[1], dtype=complex)
     h[rng.choice(op.shape[1], k, replace=False)] = (rng.standard_normal(k)

@@ -12,15 +12,14 @@ from csra.config import SystemConfig, control_window
 from csra.harness import dense_reference
 from csra.model import PilotBook, build_pilot_book, delay_block
 from csra.sensing import (SensingOperator, DenseOperator, build_operator,
-                          gram_solve, randomized_multiplier, restricted_lstsq,
-                          rip_constant_exact, rip_sample_complexity,
-                          export_dense_csv)
+                          gram_solve, restricted_lstsq, rip_constant_exact,
+                          rip_sample_complexity, export_dense_csv)
 
 
 def toy_cfg(**kw):
     base = dict(n=256, m=64, window_mode="random", t_cp=32, u_max=8, k1=2,
                 k2=5, b_slots=8, alpha=0.5, snr_db=20.0, modulation="bpsk",
-                bits_per_user=16, seed=99, trials=4, sensing_mode="plain")
+                bits_per_user=16, seed=99, trials=4)
     base.update(kw)
     return SystemConfig(**base)
 
@@ -29,10 +28,12 @@ def random_vec(rng, size):
     return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
 
-@pytest.fixture(params=["plain", "randomized"])
+@pytest.fixture(params=["plain", "contiguous"])
 def toy_op(request):
-    cfg = toy_cfg(sensing_mode=request.param)
-    return build_operator(cfg)
+    """The toy operator on its random window, and on a contiguous one."""
+    if request.param == "contiguous":
+        return build_operator(toy_cfg(window_mode="contiguous"))
+    return build_operator(toy_cfg())
 
 
 class TestApplyAdjoint:
@@ -41,7 +42,7 @@ class TestApplyAdjoint:
         assert np.all(toy_op.adjoint(np.zeros(toy_op.shape[0])) == 0)
 
     def test_single_tap_column_formula(self):
-        # plain mode: unit tap at delay 0 reads the pilot window values
+        # unit tap at delay 0 reads the pilot window values
         cfg = toy_cfg()
         op = build_operator(cfg)
         h = np.zeros(op.shape[1], dtype=complex)
@@ -51,7 +52,7 @@ class TestApplyAdjoint:
     def test_matrix_free_matches_dense(self, toy_op):
         rng = np.random.default_rng(11)
         # the reference comes from the definition through full-band FFTs,
-        # not from the operator's own partial-DFT block and window mixer
+        # not from the operator's own partial-DFT block
         dense = dense_reference(toy_op)
         for _ in range(10):
             h = random_vec(rng, toy_op.shape[1])
@@ -87,20 +88,11 @@ class TestApplyAdjoint:
         with pytest.raises(ValueError):
             toy_op.adjoint(np.zeros(3))
 
-    def test_trivial_multiplier_is_bit_identical_to_plain(self):
-        cfg = toy_cfg()
-        pilots = build_pilot_book(cfg)
-        plain = SensingOperator(pilots, cfg.t_cp)
-        trivial = SensingOperator(pilots, cfg.t_cp, xi=np.ones(cfg.n, dtype=complex))
-        h = random_vec(np.random.default_rng(13), plain.shape[1])
-        assert np.array_equal(plain.apply(h), trivial.apply(h))
-
 
 @st.composite
 def operators(draw):
     """Small operators: contiguous or random windows, any t_cp in [1, n],
-    alpha in [0, 1] with 0 and 1 drawn explicitly, and either plain mode or
-    a random unit-modulus time-domain multiplier."""
+    alpha in [0, 1] with 0 and 1 drawn explicitly."""
     n = draw(st.integers(1, 40))
     m = draw(st.integers(1, n))
     if draw(st.booleans()):
@@ -114,12 +106,10 @@ def operators(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     values = np.sqrt(n * alpha / m) * np.exp(
         2j * np.pi * rng.uniform(size=(u_max, m)))
-    xi = (np.exp(2j * np.pi * rng.uniform(size=n)) if draw(st.booleans())
-          else None)
     op = SensingOperator(PilotBook(n=n, window=window, window_values=values,
                                    alpha=alpha,
                                    block=delay_block(window, t_cp, n)),
-                         t_cp, xi=xi)
+                         t_cp)
     return op, rng
 
 
@@ -133,26 +123,23 @@ def assert_close(got, ref):
 def test_operator_matches_fft_formulas(case):
     op, rng = case
     n, t_cp, win = op.n, op.t_cp, op.window
-    xi = np.ones(n) if op.xi is None else op.xi
     freq = np.zeros((op.u_max, n), dtype=complex)
     freq[:, win] = op.pilots.window_values
     h = random_vec(rng, op.shape[1])
     y = random_vec(rng, op.shape[0])
-    # the length-n FFT formulas (P_B W M_xi W* on the pilot spectra) that the
-    # partial-DFT GEMMs and the window mixer replace
+    # the length-n FFT formulas (P_B W on the pilot spectra) that the
+    # partial-DFT GEMMs replace
     spectra = np.fft.fft(h.reshape(op.u_max, t_cp), n=n, axis=1)
-    s_time = np.fft.ifft(np.sum(spectra * freq, axis=0))
-    assert_close(op.apply(h), np.fft.fft(xi * s_time)[win])
+    assert_close(op.apply(h), np.sum(spectra * freq, axis=0)[win])
     w = np.zeros(n, dtype=complex)
     w[win] = y
-    v_freq = np.fft.fft(np.conj(xi) * np.fft.ifft(w))
-    adj = n * np.fft.ifft(np.conj(freq) * v_freq, axis=1)[:, :t_cp]
+    adj = n * np.fft.ifft(np.conj(freq) * w, axis=1)[:, :t_cp]
     assert_close(op.adjoint(y), adj.reshape(-1))
     support = rng.choice(op.shape[1], size=min(op.shape[1], 5), replace=False)
     users, delays = np.divmod(support, t_cp)
     pilot_time = np.fft.ifft(freq, norm="ortho")
     shifted = np.array([np.roll(pilot_time[u], t) for u, t in zip(users, delays)])
-    cols = np.fft.fft(xi * shifted, axis=1)[:, win] / np.sqrt(n)
+    cols = np.fft.fft(shifted, axis=1)[:, win] / np.sqrt(n)
     assert_close(op.columns(support), cols.T)
     lhs = np.vdot(y, op.apply(h))
     rhs = np.vdot(op.adjoint(y), h)
@@ -346,8 +333,7 @@ def test_zero_operator_flags_rank_deficient():
 def test_columns_match_the_product_formula_bitwise(toy_op):
     support = np.random.default_rng(5).choice(toy_op.shape[1], 40, replace=False)
     users, delays = np.divmod(support, toy_op.t_cp)
-    plain = (toy_op.pilots.window_values[users] * toy_op.pilots.block[delays]).T
-    expected = plain if toy_op._mix is None else toy_op._mix @ plain
+    expected = (toy_op.pilots.window_values[users] * toy_op.pilots.block[delays]).T
     assert np.array_equal(toy_op.columns(support), expected)
 
 
