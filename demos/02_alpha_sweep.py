@@ -7,11 +7,11 @@ middle, 0.5 at alpha=1 (no data power).
 """
 
 from csra import desk_profile
-from csra.harness import SweepSpec, sweep_alpha
+from csra.harness import sweep_alpha
 
-cfg = desk_profile()
-spec = SweepSpec((0.01, 0.11, 0.31, 0.71, 1.0), trials=40)
-rows = sweep_alpha(cfg, spec, out_path="alpha_sweep_demo.csv")
+cfg = desk_profile(trials=40)
+rows, _ = sweep_alpha(cfg, (0.01, 0.11, 0.31, 0.71, 1.0),
+                      out_path="alpha_sweep_demo.csv")
 
 print(f"{'alpha':>6} {'ser':>10} {'p_md':>8} {'p_fa':>8} {'discarded':>9}")
 for alpha, ser, p_md, p_fa, trials, discarded, *_ in rows:

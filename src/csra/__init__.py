@@ -19,8 +19,8 @@ from .bounds import (FadingModel, BoundInputs, DetectionBounds, ClampedRate,
                      rate_lower_bound, rate_upper_bound, pilot_split_rate_gap,
                      aloha_throughput, ser_rayleigh_bpsk,
                      simulated_ergodic_rate, noise_ball_radius)
-from .harness import (SweepSpec, TrialRecord, Scenario, make_scenario,
-                      run_trial, run_trials, aggregate, sweep_alpha, sweep_roc,
+from .harness import (TrialRecord, Scenario, make_scenario, run_trial,
+                      run_trials, aggregate, sweep_alpha, sweep_roc,
                       emit_bounds, emit_throughput, validate, CheckResult,
                       adjoint_mismatch)
 

@@ -168,6 +168,7 @@ def bpdn_stability_constant(delta: float) -> float:
     return 4.0 * math.sqrt(1.0 + delta) / (1.0 - (1.0 + math.sqrt(2.0)) * delta)
 
 
+@lru_cache(maxsize=256)     # a bound table reads one (xi, k1, cutoff)
 def margin_tail_integral(xi: float, fading: FadingModel,
                          cutoff_delta: float = 0.0) -> float:
     """Integral of dF(x) / (x - xi)^2 over x > xi + cutoff_delta, where F is

@@ -91,39 +91,25 @@ def _load_config(args) -> SystemConfig:
     return cfg.with_(**overrides) if overrides else cfg
 
 
-def _run_observer(directory: Path | None, per_alpha: bool):
-    """(on_records, batches): the callback keeps each grid point's
-    aggregate in `batches` and, given a directory, writes one solver trace
-    per trial into it."""
-    batches = []
-
-    def observe(cfg, records):
-        batches.append(harness.aggregate(records))
-        if directory is None:
-            return
-        directory.mkdir(parents=True, exist_ok=True)
-        prefix = f"alpha{cfg.alpha}_" if per_alpha else ""
-        for rec in records:
+def _report_run(command: str, traces: dict, directory: Path | None) -> None:
+    """One stderr line on the run's solves and on where its trial time
+    went, stage by stage; given a directory, one solver trace per trial.
+    traces maps a trace-file prefix to its records. The CSV stays as it is."""
+    agg = harness.aggregate([r for batch in traces.values() for r in batch])
+    split = " + ".join(f"{stage} {agg['stage_seconds'][stage]:.2f}"
+                       for stage in harness.STAGES)
+    print(f"{command}: {agg['trials']} trials, "
+          f"{agg['nonconverged']} non-converged solves, "
+          f"iterations mean {agg['iterations_mean']:.1f} max "
+          f"{agg['iterations_max']}, "
+          f"{split} = {agg['elapsed']:.2f} s in trials", file=sys.stderr)
+    if directory is None:
+        return
+    directory.mkdir(parents=True, exist_ok=True)
+    for prefix, batch in traces.items():
+        for rec in batch:
             harness.dump_recovery_diagnostics(
                 rec, directory / f"{prefix}trial{rec.trial_index:05d}.csv")
-    return observe, batches
-
-
-def _report_solves(command: str, batches: list[dict]) -> None:
-    """One stderr line on the run's solves and on where its trial time
-    went, stage by stage; the CSV stays as it is."""
-    trials = sum(b["trials"] for b in batches)
-    mean = (sum(b["iterations_mean"] * b["trials"] for b in batches) / trials
-            if trials else float("nan"))
-    split = " + ".join(
-        f"{stage} {sum(b['stage_seconds'][stage] for b in batches):.2f}"
-        for stage in harness.STAGES)
-    print(f"{command}: {trials} trials, "
-          f"{sum(b['nonconverged'] for b in batches)} non-converged solves, "
-          f"iterations mean {mean:.1f} max "
-          f"{max((b['iterations_max'] for b in batches), default=0)}, "
-          f"{split} = {sum(b['elapsed'] for b in batches):.2f} s in trials",
-          file=sys.stderr)
 
 
 def main(argv=None) -> int:
@@ -157,22 +143,19 @@ def _dispatch(args) -> int:
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
     if args.command == "link-sim":
-        spec = harness.SweepSpec(_grid(args.alphas), trials=cfg.trials)
         out = args.out or Path("link_sim.csv")
-        observe, batches = _run_observer(args.diagnostics, True)
-        harness.sweep_alpha(cfg, spec, out_path=out, threads=args.threads,
-                            on_records=observe)
-        _report_solves(args.command, batches)
+        rows, batches = harness.sweep_alpha(cfg, _grid(args.alphas), out_path=out,
+                                            threads=args.threads)
+        traces = {f"alpha{row[0]}_": batch for row, batch in zip(rows, batches)}
+        _report_run(args.command, traces, args.diagnostics)
         print(f"wrote {out}")
         return 0
 
     if args.command == "roc":
-        spec = harness.SweepSpec(_grid(args.xi_grid), trials=cfg.trials)
         out = args.out or Path("roc.csv")
-        observe, batches = _run_observer(args.diagnostics, False)
-        harness.sweep_roc(cfg, spec, out_path=out, threads=args.threads,
-                          on_records=observe)
-        _report_solves(args.command, batches)
+        _, records = harness.sweep_roc(cfg, _grid(args.xi_grid), out_path=out,
+                                       threads=args.threads)
+        _report_run(args.command, {"": records}, args.diagnostics)
         print(f"wrote {out}")
         return 0
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (SystemConfig, SlotPlan, WINDOW_MODES, config_hash,
-                     slot_plan, trial_rng)
+from .config import (ConfigError, SystemConfig, SlotPlan, WINDOW_MODES,
+                     config_hash, slot_plan, trial_rng)
 from .model import (build_pilot_book, channel_gains, delay_block,
                     draw_activity, draw_channels, draw_data, transmit_receive)
 from .sensing import (SensingOperator, DenseOperator, build_operator,
@@ -29,23 +29,8 @@ from .bounds import (FadingModel, BoundInputs, detection_error_bounds,
 
 
 # ---------------------------------------------------------------------------
-# Sweep and trial records
+# Trial records
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepSpec:
-    grid: tuple          # alpha for sweep_alpha, xi_thr for sweep_roc
-    trials: int = 1
-
-    def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        if g.size == 0:
-            raise ValueError("sweep grid is empty")
-        if g.size > 1 and not np.all(np.diff(g) > 0):
-            raise ValueError("sweep grid must be strictly increasing")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-
 
 # The stages of one trial that TrialRecord.stage_seconds times, in order:
 # the random draws, the frame (transmit/receive), the recovery solve, and
@@ -211,39 +196,47 @@ BOUNDS_HEADER = ["alpha", "delta2k", "m", "n", "sigma2", "xi", "pmd_bound",
 THROUGHPUT_HEADER = ["lam", "b_slots", "pr_rate", "rate", "throughput"]
 
 
-def sweep_alpha(cfg: SystemConfig, spec: SweepSpec, out_path=None,
-                threads: int = 1, on_records=None) -> list[list]:
-    """Link-simulation sweep over the pilot power fraction.
-    on_records(cfg_a, records), if given, sees each grid point's records."""
-    rows = []
-    for alpha in spec.grid:
-        cfg_a = cfg.with_(alpha=float(alpha))
-        records = run_trials(cfg_a, spec.trials, threads)
-        if on_records is not None:
-            on_records(cfg_a, records)
+def _check_grid(grid) -> tuple[float, ...]:
+    """A sweep grid as floats: non-empty, strictly increasing and from 0 up
+    (a NaN fails every comparison, so it fails the check)."""
+    g = tuple(float(v) for v in grid)
+    if not (g and g[0] >= 0.0 and all(b > a for a, b in zip(g, g[1:]))):
+        raise ConfigError("sweep grid must be non-empty, strictly increasing "
+                          f"and >= 0, got {list(g)}")
+    return g
+
+
+def sweep_alpha(cfg: SystemConfig, alphas, out_path=None,
+                threads: int = 1) -> tuple[list[list], list[list[TrialRecord]]]:
+    """Link-simulation sweep over the pilot power fraction, cfg.trials
+    trials per point. Every point's config is built before any trial runs.
+    Returns the rows and, per grid point, its records."""
+    cfgs = [cfg.with_(alpha=alpha) for alpha in _check_grid(alphas)]
+    rows, batches = [], []
+    for cfg_a in cfgs:
+        records = run_trials(cfg_a, cfg.trials, threads)
         agg = aggregate(records)
-        rows.append([float(alpha), agg["ser"], agg["p_md"], agg["p_fa"],
-                     spec.trials, agg["discarded"], cfg.seed,
+        rows.append([cfg_a.alpha, agg["ser"], agg["p_md"], agg["p_fa"],
+                     cfg.trials, agg["discarded"], cfg.seed,
                      agg["ser_detected_only"], config_hash(cfg_a)])
+        batches.append(records)
     if out_path is not None:
         write_csv(out_path, LINK_HEADER, rows)
-    return rows
+    return rows, batches
 
 
-def sweep_roc(cfg: SystemConfig, spec: SweepSpec, out_path=None,
-              threads: int = 1, on_records=None) -> list[list]:
-    """One solve per trial, then re-threshold cached energies over the
-    xi grid. on_records(cfg, records), if given, sees the records."""
-    records = run_trials(cfg, spec.trials, threads)
-    if on_records is not None:
-        on_records(cfg, records)
-    points = roc_sweep(records, spec.grid)
+def sweep_roc(cfg: SystemConfig, xis, out_path=None,
+              threads: int = 1) -> tuple[list[list], list[TrialRecord]]:
+    """cfg.trials trials, one solve each, then re-threshold the cached
+    energies over the xi grid. Returns the rows and the records."""
+    grid = _check_grid(xis)
+    records = run_trials(cfg, cfg.trials, threads)
     h = config_hash(cfg)
-    rows = [[xi, p_md, p_fa, spec.trials, cfg.alpha, cfg.seed, h]
-            for xi, p_md, p_fa in points]
+    rows = [[xi, p_md, p_fa, cfg.trials, cfg.alpha, cfg.seed, h]
+            for xi, p_md, p_fa in roc_sweep(records, grid)]
     if out_path is not None:
         write_csv(out_path, ROC_HEADER, rows)
-    return rows
+    return rows, records
 
 
 def emit_bounds(cfg: SystemConfig, alpha_grid, xi: float, delta_2k: float,

@@ -18,7 +18,7 @@ from csra.bounds import (FadingModel, BoundInputs, bpdn_stability_constant,
                          rate_upper_bound, pilot_split_rate_gap,
                          aloha_throughput, simulated_ergodic_rate)
 from csra.detection import roc_sweep
-from csra.harness import SweepSpec, run_trials, aggregate, sweep_alpha, validate
+from csra.harness import run_trials, aggregate, sweep_alpha, validate
 from csra.model import build_pilot_book, draw_activity, draw_channels
 from csra.recovery import bpdn, cosamp, debias
 from csra.sensing import DenseOperator, build_operator, rip_constant_exact
@@ -61,9 +61,8 @@ def test_criterion_01_alpha_one_endpoint(announce):
 def test_criterion_02_ser_u_shape(announce):
     """SER vs alpha reproduces the one-shot curve's shape: starving the
     pilot starves the ell1 estimate, starving the data starves the slicer."""
-    cfg = desk_profile()
-    spec = SweepSpec((0.01, 0.31, 1.0), trials=200)
-    rows = sweep_alpha(cfg, spec)
+    cfg = desk_profile()     # 200 trials per alpha
+    rows, _ = sweep_alpha(cfg, (0.01, 0.31, 1.0))
     ser = {row[0]: row[1] for row in rows}
     ok = ser[0.31] < ser[0.01] / 3 and ser[0.31] < ser[1.0] / 50
     announce(2, ok, f"SER = {ser[0.01]:.5f} -> {ser[0.31]:.5f} -> {ser[1.0]:.5f}")

@@ -1,5 +1,8 @@
-"""Smoke runs of the quick demos as scripts, each in a scratch directory."""
+"""Smoke runs of the quick demos as scripts, each in a scratch directory,
+and an import check of every demo."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -22,3 +25,18 @@ def test_demo_runs(tmp_path, script):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+@pytest.mark.parametrize("script",
+                         sorted(p.name for p in (ROOT / "demos").glob("*.py")))
+def test_demo_imports_exist(script):
+    # the slow sweep demos do not run in the suite; this catches a demo
+    # that imports a name the package no longer has
+    tree = ast.parse((ROOT / "demos" / script).read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "csra"]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            assert hasattr(module, alias.name), f"{node.module}.{alias.name}"

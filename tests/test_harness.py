@@ -16,7 +16,7 @@ from csra.config import (SystemConfig, ConfigError, control_window, slot_plan,
                          read_config, write_config, config_hash, desk_profile,
                          lte_profile, MODULATIONS, WINDOW_MODES, SOLVERS)
 from csra import cli, harness
-from csra.harness import (SweepSpec, run_trial, run_trials, aggregate,
+from csra.harness import (run_trial, run_trials, aggregate,
                           sweep_alpha, sweep_roc, emit_bounds, emit_throughput,
                           make_scenario, validate, adjoint_mismatch,
                           dense_reference, LINK_HEADER, ROC_HEADER,
@@ -57,7 +57,8 @@ class TestConfig:
                    dict(k2=99), dict(alpha=1.5), dict(b_slots=0),
                    dict(modulation="qam64"), dict(sensing_mode="x"),
                    dict(sensing_mode="randomized"),
-                   dict(bits_per_user=10 ** 6), dict(window_mode="blocky")):
+                   dict(bits_per_user=10 ** 6), dict(window_mode="blocky"),
+                   dict(trials=0)):
             with pytest.raises(ConfigError):
                 toy_cfg(**kw)
 
@@ -318,11 +319,10 @@ class TestTrials:
 
 class TestCsvEmission:
     def test_link_csv_byte_identical(self, tmp_path):
-        cfg = toy_cfg()
-        spec = SweepSpec((0.2, 0.8), trials=3)
+        cfg = toy_cfg(trials=3)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        sweep_alpha(cfg, spec, out_path=p1)
-        sweep_alpha(cfg, spec, out_path=p2)
+        sweep_alpha(cfg, (0.2, 0.8), out_path=p1)
+        sweep_alpha(cfg, (0.2, 0.8), out_path=p2)
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0].split(",")
         assert header == LINK_HEADER
@@ -371,17 +371,17 @@ class TestCsvEmission:
         assert tables[0] == tables[1]
 
     def test_link_csv_nan_sentinel(self, tmp_path):
-        cfg = toy_cfg(k2=0)
+        cfg = toy_cfg(k2=0, trials=2)
         path = tmp_path / "nan.csv"
-        sweep_alpha(cfg, SweepSpec((0.5,), trials=2), out_path=path)
+        sweep_alpha(cfg, (0.5,), out_path=path)
         row = path.read_text().splitlines()[1].split(",")
         assert row[1] == "nan"
 
     def test_roc_csv(self, tmp_path):
-        cfg = toy_cfg()
+        cfg = toy_cfg(trials=4)
         path = tmp_path / "roc.csv"
-        rows = sweep_roc(cfg, SweepSpec((0.01, 0.1, 1.0), trials=4),
-                         out_path=path)
+        rows, records = sweep_roc(cfg, (0.01, 0.1, 1.0), out_path=path)
+        assert [r.trial_index for r in records] == [0, 1, 2, 3]
         header = path.read_text().splitlines()[0].split(",")
         assert header == ROC_HEADER
         p_md = [r[1] for r in rows]
@@ -435,13 +435,44 @@ class TestCsvEmission:
         vals = [r[-1] for r in rows]
         assert np.argmax(vals) == 8    # lambda = b_slots = 4 at half-step 8
 
-    def test_sweep_spec_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(())
-        with pytest.raises(ValueError):
-            SweepSpec((0.5, 0.2))
-        with pytest.raises(ValueError):
-            SweepSpec((0.1,), trials=0)
+    @pytest.mark.parametrize("sweep", [sweep_alpha, sweep_roc])
+    @pytest.mark.parametrize("grid", [(), (0.5, 0.2), (-1.0, 0.5),
+                                      (0.1, math.nan), (math.nan,)])
+    def test_sweep_grid_validation(self, monkeypatch, tmp_path, sweep, grid):
+        monkeypatch.setattr(harness, "run_trials", None)   # nothing may run
+        with pytest.raises(ValueError, match="sweep grid"):
+            sweep(toy_cfg(), grid, out_path=tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_sweep_row_reproduces_from_its_hash(self, tmp_path):
+        cfg = toy_cfg(trials=3)              # the toy default is 5
+        assert cfg.trials != toy_cfg().trials
+        trials, alpha, h = (LINK_HEADER.index(c)
+                            for c in ("trials", "alpha", "cfg_hash"))
+        link = tmp_path / "link.csv"
+        rows, batches = sweep_alpha(cfg, (0.2, 0.8), out_path=link)
+        assert [len(b) for b in batches] == [3, 3]
+        lines = link.read_text().splitlines()[1:]
+        for row, line in zip(rows, lines):
+            point = cfg.with_(alpha=row[alpha])
+            assert row[trials] == 3
+            assert row[h] == config_hash(point)
+            # the config the hash names, read back from a file, rewrites the row
+            path = tmp_path / "point.cfg"
+            write_config(point, path)
+            again = tmp_path / "again.csv"
+            sweep_alpha(read_config(path), (row[alpha],), out_path=again)
+            assert again.read_text().splitlines()[1] == line
+        trials, h = (ROC_HEADER.index(c) for c in ("trials", "cfg_hash"))
+        roc = tmp_path / "roc.csv"
+        rows, records = sweep_roc(cfg, (0.01, 0.1, 1.0), out_path=roc)
+        assert len(records) == 3
+        assert all(row[trials] == 3 and row[h] == config_hash(cfg) for row in rows)
+        path = tmp_path / "roc.cfg"
+        write_config(cfg, path)
+        again = tmp_path / "roc_again.csv"
+        sweep_roc(read_config(path), (0.01, 0.1, 1.0), out_path=again)
+        assert again.read_bytes() == roc.read_bytes()
 
 
 class SignFlippedOp:
@@ -528,6 +559,20 @@ class TestCli:
         assert "config error: --threads must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("command, grid", [
+        ("link-sim", "--alphas=0.5,0.2"), ("roc", "--xi-grid=0.5,0.2"),
+        ("roc", "--xi-grid=-1,0.5"), ("link-sim", "--alphas=0.5,1.5")])
+    def test_bad_grid_exit_one_before_any_trial(self, tmp_path, capsys,
+                                                monkeypatch, command, grid):
+        monkeypatch.setattr(harness, "run_trials", None)   # nothing may run
+        cfg_path = tmp_path / "scenario.cfg"
+        write_config(toy_cfg(trials=2), cfg_path)
+        code = cli.main([command, "--config", str(cfg_path), grid,
+                         "--out", str(tmp_path / "out.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_io_error_exit_three(self, tmp_path, capsys):
         cfg = toy_cfg(trials=1)
         path = tmp_path / "scenario.cfg"
@@ -580,7 +625,9 @@ class TestCli:
         assert len(calls) == 2 * solves
         assert solves == 2 * (2 if command == "link-sim" else 1)
         assert traced.read_bytes() == plain.read_bytes()
-        assert len(list((tmp_path / "diag").glob("*trial*.csv"))) == solves
+        prefixes = ["alpha0.4_", "alpha0.9_"] if command == "link-sim" else [""]
+        assert sorted(p.name for p in (tmp_path / "diag").iterdir()) == [
+            f"{prefix}trial0000{i}.csv" for prefix in prefixes for i in (0, 1)]
 
     @pytest.mark.parametrize("command, grid, alphas", [
         ("link-sim", ["--alphas", "0.4,0.9"], (0.4, 0.9)),
@@ -606,9 +653,8 @@ class TestCli:
         assert err[0].endswith(" s in trials")
         # the CSV is byte for byte what the library writes without the report
         ref = tmp_path / "ref.csv"
-        spec = SweepSpec(tuple(float(g) for g in grid[1].split(",")), trials=3)
         sweep = sweep_alpha if command == "link-sim" else sweep_roc
-        sweep(cfg, spec, out_path=ref)
+        sweep(cfg, [float(g) for g in grid[1].split(",")], out_path=ref)
         assert out.read_bytes() == ref.read_bytes()
 
     def test_run_splits_its_trial_time_by_stage(self, tmp_path, capsys):
@@ -625,8 +671,7 @@ class TestCli:
         *parts, total = (float(g) for g in match.groups())
         assert abs(sum(parts) - total) <= 0.005 * (len(parts) + 1)
         ref = tmp_path / "ref.csv"
-        sweep_alpha(toy_cfg(trials=3, solver="bpdn"),
-                    SweepSpec((0.4, 0.9), trials=3), out_path=ref)
+        sweep_alpha(toy_cfg(trials=3, solver="bpdn"), (0.4, 0.9), out_path=ref)
         assert out.read_bytes() == ref.read_bytes()
 
     def test_bounds_command(self, tmp_path):
@@ -657,6 +702,24 @@ class TestCli:
                          "--xi-norm", "0", "--out", str(out)]) == 0
         assert capsys.readouterr().err == ""
         assert 0.0 < float(out.read_text().splitlines()[1].split(",")[6]) < 0.01
+
+    def test_bounds_table_integrates_its_tail_once(self, tmp_path, capsys,
+                                                   monkeypatch):
+        from scipy import integrate
+        from csra.bounds import margin_tail_integral
+        margin_tail_integral.cache_clear()
+        calls = []
+        original = integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args[1:3])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(integrate, "quad", counting_quad)
+        out = tmp_path / "bounds.csv"
+        assert cli.main(["bounds", "--profile", "lte", "--xi-norm", "0.3",
+                         "--cutoff", "0.1", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 12     # 11 rows
+        assert len(calls) == 1, calls
 
     @pytest.mark.parametrize("flag, value", [("--cutoff", "-1"),
                                              ("--xi-norm", "-0.5"),
