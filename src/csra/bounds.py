@@ -179,9 +179,9 @@ def margin_tail_integral(xi: float, fading: FadingModel,
     like x^(2 k1 - 3)), and E[1/||h||^2] = k1/(k1 - 1) otherwise. A
     positive cutoff is integrated by adaptive quadrature.
     """
-    if xi < 0:
+    if not xi >= 0:         # NaN fails both tests
         raise ValueError("xi must be >= 0")
-    if cutoff_delta < 0:
+    if not cutoff_delta >= 0:
         raise ValueError("cutoff_delta must be >= 0")
     if cutoff_delta == 0.0:
         if xi > 0.0 or fading.k1 == 1:
@@ -219,11 +219,12 @@ class BoundInputs:
     def __post_init__(self):
         if not 0.0 <= self.delta_2k < DELTA_MAX:
             raise ValueError("delta_2k out of the guarantee domain [0, sqrt(2)-1)")
-        if self.alpha <= 0.0 or self.alpha > 1.0:
+        # each test is written so that NaN fails it
+        if not 0.0 < self.alpha <= 1.0:
             raise ValueError("alpha must be in (0, 1]")
-        if self.k2 < 1:
+        if not self.k2 >= 1:
             raise ValueError("k2 must be >= 1")
-        if self.xi < 0.0 or self.sigma2 < 0.0:
+        if not (self.xi >= 0.0 and self.sigma2 >= 0.0):
             raise ValueError("xi and sigma2 must be >= 0")
         object.__setattr__(self, "c1", bpdn_stability_constant(self.delta_2k))
 
@@ -333,8 +334,10 @@ def pilot_split_rate_gap(alpha: float, fading: FadingModel):
 
 def aloha_throughput(load: float, b_slots: int, pr_rate: float, rate: float) -> float:
     """Average throughput lambda exp(-lambda/B) Pr(R > target) * target."""
-    if load < 0 or b_slots < 1 or not 0.0 <= pr_rate <= 1.0 or rate < 0:
-        raise ValueError("need load >= 0, b_slots >= 1, pr_rate in [0,1], rate >= 0")
+    if not (0.0 <= load < math.inf and b_slots >= 1 and 0.0 <= pr_rate <= 1.0
+            and 0.0 <= rate < math.inf):     # NaN fails every test
+        raise ValueError("need finite load >= 0, b_slots >= 1, pr_rate in [0,1], "
+                         "finite rate >= 0")
     return load * math.exp(-load / b_slots) * pr_rate * rate
 
 

@@ -133,8 +133,11 @@ def _dispatch(args) -> int:
         lambdas = (_grid(args.lambdas) if args.lambdas
                    else tuple(np.linspace(0.0, 5.0 * args.b_slots, 101)))
         out = args.out or Path("throughput.csv")
-        harness.emit_throughput(lambdas, args.b_slots, args.pr_rate, args.rate,
-                                out_path=out)
+        try:    # aloha_throughput owns the domains of these flags
+            harness.emit_throughput(lambdas, args.b_slots, args.pr_rate,
+                                    args.rate, out_path=out)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         print(f"wrote {out}")
         return 0
 

@@ -5,11 +5,21 @@ basis pursuit denoising min ||h||_1 s.t. ||A h - y|| <= eps (Douglas-Rachford
 splitting with an exact projection onto the residual ball; the algorithm is
 an implementation detail, the feasibility/objective contract is what tests
 pin down). Both accept any operator exposing apply/adjoint/columns/shape;
-BPDN also needs `gram_eigh`, the eigendecomposition of A A^H.
+BPDN also needs `gram_eigh`, the eigendecomposition of A A^H, and
+`complex64()`, a single-precision twin of the operator.
+
+BPDN iterates in two precisions: first in complex64, which halves the cost
+of both operator GEMMs and of the N-length vector work, until its objective
+settles, then in complex128 from the state that phase reached, until the
+full stopping rule holds in double. The single phase reads only y/||y|| and
+eps/||y||, each rounded once to single precision, so it computes the same
+bits for (y, eps) and (c y, c eps) and the solver stays positively
+homogeneous. converged and residual_norm come from double arithmetic only.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -145,8 +155,11 @@ def cosamp(op, y: np.ndarray, k: int,
 # ---------------------------------------------------------------------------
 
 def _soft_threshold(z: np.ndarray, t: float) -> np.ndarray:
+    """z shrunk by t > 0 in magnitude; entries with |z| <= t map to 0. The
+    guard max(|z|, t) holds in any precision, where a fixed floor such as
+    1e-300 underflows to 0 in float32."""
     mag = np.abs(z)
-    return z * np.maximum(1.0 - t / np.maximum(mag, 1e-300), 0.0)
+    return z * np.maximum(1.0 - t / np.maximum(mag, t), 0.0)
 
 
 # Douglas-Rachford constants: the l1 prox step in units of 1/||A|| (the
@@ -203,6 +216,39 @@ def _ball_weights(lam: np.ndarray, s: np.ndarray, eps: float,
     return s * (mu / (1.0 + mu * lam)), mu
 
 
+def _dr_iterates(op, yn, epsn, z, az, lam, vecs, gamma, mu):
+    """Relaxed Douglas-Rachford iterations for min ||h||_1 subject to
+    ||A h - yn|| <= epsn, from z with az = A z, in the precision of op, yn,
+    z and az; the m-length projection (V^H r, its weights and V c) runs in
+    float64 either way. Updates z in place and yields each iteration's
+    x = soft(z, gamma), A x and the projection's multiplier mu."""
+    while True:
+        # x = prox(z); v = 2x - z; p = P(v); z += relax (p - x), written as
+        # increments p - x = (x - z) - A^H V c and A p - A x likewise
+        x = _soft_threshold(z, gamma)
+        ax = op.apply(x)
+        dz = x - z
+        daz = ax - az
+        s = np.conj(np.conj(daz + ax - yn) @ vecs)  # V^H r, no copy of V^H
+        c, mu = _ball_weights(lam, s, epsn, mu)
+        if mu != 0.0:
+            dz -= op.adjoint(vecs @ c)
+            daz -= vecs @ (lam * c)
+        z += DR_RELAX * dz
+        az += DR_RELAX * daz
+        yield x, ax, mu
+
+
+def _dr_check(x, ax, yn, obj_prev, it, y_norm, history):
+    """One stopping test at iteration `it`: logs (it, ||A h - y||, nnz) to
+    history and returns the residual ||A x - yn||, the l1 objective and
+    whether it moved by at most DR_OBJ_TOL relative from obj_prev."""
+    feas = float(np.linalg.norm(ax - yn))
+    obj = float(np.sum(np.abs(x)))
+    history.append((it, feas * y_norm, int(np.count_nonzero(x))))
+    return feas, obj, abs(obj - obj_prev) <= DR_OBJ_TOL * max(obj, 1e-15)
+
+
 def bpdn(op, y: np.ndarray, eps: float,
          h_true: np.ndarray | None = None) -> RecoveryResult:
     """min ||h||_1 subject to ||A h - y|| <= eps.
@@ -212,16 +258,29 @@ def bpdn(op, y: np.ndarray, eps: float,
     with the exact projection P through the eigendecomposition of A A^H
     (`op.gram_eigh`) and g = DR_STEP / ||A||, ||A|| = sqrt(lambda_max)
     exact. A z is carried along by recursion, so each iteration costs one
-    apply and at most one adjoint. The problem is solved on y/||y||, which
-    makes the routine exactly positively homogeneous in (y, eps).
-    Non-convergence is reported via converged=False, never silently.
+    apply and at most one adjoint. The problem is solved on y/||y||.
+
+    The iterations run in two precisions and share DR_MAX_ITER, the
+    iteration count and the history. The single phase iterates in complex64
+    on `op.complex64()` and on y/||y|| and eps/||y|| each rounded once to
+    single precision, until the first check at which the objective test
+    passes, feasible or not (float32 may not reach DR_FEAS_FLOOR). The
+    double phase promotes z, recomputes A z in double and continues on the
+    double inputs until the full rule holds; when the single answer was
+    feasible its first test comes at once, against the single phase's last
+    objective, so an answer that already meets the rule in double costs one
+    iteration more. The single phase depends only on the two rounded
+    inputs, which are the same for (y, eps) and (c y, c eps), so the
+    routine stays positively homogeneous in (y, eps). converged and
+    residual_norm come from double arithmetic only. Non-convergence is
+    reported via converged=False, never silently.
     """
     y = np.asarray(y, dtype=complex)
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    n_cols = op.shape[1]
+    m, n_cols = op.shape
 
     y_norm = float(np.linalg.norm(y))
     if eps >= y_norm:   # zero is feasible, hence l1-minimal
@@ -237,39 +296,42 @@ def bpdn(op, y: np.ndarray, eps: float,
 
     yn = y / y_norm
     epsn = eps / y_norm
-    z = x = np.zeros(n_cols, dtype=complex)
-    az = np.zeros(op.shape[0], dtype=complex)
-    mu = 0.0
-    history = []
     feas_target = max(epsn * (1.0 + DR_FEAS_TOL), DR_FEAS_FLOOR)
-    obj_prev = np.inf
-    converged = False
-    it = 0
-    while it < DR_MAX_ITER:
+    history = []
+    it, obj_prev, converged = 0, np.inf, False
+
+    # single phase: its two inputs rounded once
+    yn32 = yn.astype(np.complex64)
+    eps32 = float(np.float32(epsn))
+    z = np.zeros(n_cols, dtype=np.complex64)
+    x, mu, feasible = z, 0.0, False
+    steps = _dr_iterates(op.complex64(), yn32, eps32, z,
+                         np.zeros(m, dtype=np.complex64), lam, vecs, gamma, mu)
+    for x, ax, mu in islice(steps, DR_MAX_ITER):
         it += 1
-        # x = prox(z); v = 2x - z; p = P(v); z += relax (p - x), written as
-        # increments p - x = (x - z) - A^H V c and A p - A x likewise
-        x = _soft_threshold(z, gamma)
-        ax = op.apply(x)
-        dz = x - z
-        daz = ax - az
-        s = np.conj(np.conj(daz + ax - yn) @ vecs)  # V^H r, no copy of V^H
-        c, mu = _ball_weights(lam, s, epsn, mu)
-        if mu != 0.0:
-            dz -= op.adjoint(vecs @ c)
-            daz -= vecs @ (lam * c)
-        z += DR_RELAX * dz
-        az += DR_RELAX * daz
         if it % DR_CHECK_EVERY == 0 or it == DR_MAX_ITER:
-            feas = float(np.linalg.norm(ax - yn))
-            obj = float(np.sum(np.abs(x)))
-            history.append((it, feas * y_norm, int(np.count_nonzero(x))))
-            if feas <= feas_target and \
-                    abs(obj - obj_prev) <= DR_OBJ_TOL * max(obj, 1e-15):
+            feas, obj_prev, stable = _dr_check(x, ax, yn32, obj_prev, it,
+                                               y_norm, history)
+            if stable:
+                feasible = feas <= max(eps32 * (1.0 + DR_FEAS_TOL),
+                                       DR_FEAS_FLOOR)
+                break
+
+    # double phase, from the state the single phase reached
+    check = it + (1 if feasible else DR_CHECK_EVERY)
+    z = z.astype(complex)
+    steps = _dr_iterates(op, yn, epsn, z, op.apply(z), lam, vecs,
+                         gamma, mu)
+    for x, ax, mu in islice(steps, DR_MAX_ITER - it):
+        it += 1
+        if it == check or it == DR_MAX_ITER:
+            check += DR_CHECK_EVERY
+            feas, obj_prev, stable = _dr_check(x, ax, yn, obj_prev, it,
+                                               y_norm, history)
+            if feas <= feas_target and stable:
                 converged = True
                 break
-            obj_prev = obj
-    h_raw = x * y_norm
+    h_raw = np.asarray(x, dtype=complex) * y_norm
     result = _result(op, h_raw, y, it, converged, h_true, history)
     if not converged:
         result.converged = result.residual_norm <= feas_target * y_norm

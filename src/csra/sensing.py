@@ -12,11 +12,13 @@ an oracle.
 Both operator classes also expose `gram_eigh`, the eigendecomposition
 (eigenvalues ascending, eigenvectors as columns) of the m x m Gram A A^H,
 computed on first use and cached; BPDN projects onto its residual ball
-through it.
+through it. And both give a complex64 twin of themselves (`complex64`), a
+fresh single-precision copy whose apply/adjoint compute and return
+complex64; BPDN runs its first phase on it.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -52,7 +54,7 @@ class SensingOperator:
         return (self.m, self.u_max * self.t_cp)
 
     def _check_h(self, h):
-        h = np.asarray(h, dtype=complex)
+        h = np.asarray(h, dtype=self._block.dtype)
         if h.shape != (self.u_max * self.t_cp,):
             raise ValueError(f"expected compound vector of length "
                              f"{self.u_max * self.t_cp}, got shape {h.shape}")
@@ -75,13 +77,21 @@ class SensingOperator:
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """A* @ y; exact adjoint of apply."""
-        y = np.asarray(y, dtype=complex)
+        y = np.asarray(y, dtype=self._block.dtype)
         if y.shape != (self.m,):
             raise ValueError(f"expected window vector of length {self.m}, "
                              f"got shape {y.shape}")
         # (conj(P) * y) @ conj(D^T), conjugating the small product instead
         return np.conj((self.pilots.window_values * np.conj(y))
                        @ self._block.T).reshape(-1)
+
+    def complex64(self) -> "SensingOperator":
+        """The same operator on complex64 copies of the block and the pilot
+        window values, made on each call (nothing is cached)."""
+        pilots = replace(self.pilots,
+                         window_values=self.pilots.window_values.astype(np.complex64),
+                         block=self._block.astype(np.complex64))
+        return SensingOperator(pilots, self.t_cp)
 
     def columns(self, support) -> np.ndarray:
         """Dense m x |support| submatrix for the given compound indices."""
@@ -121,10 +131,16 @@ class DenseOperator:
         return self.mat.shape
 
     def apply(self, h):
-        return self.mat @ np.asarray(h, dtype=complex)
+        return self.mat @ np.asarray(h, dtype=self.mat.dtype)
 
     def adjoint(self, y):
-        return self.mat.conj().T @ np.asarray(y, dtype=complex)
+        return self.mat.conj().T @ np.asarray(y, dtype=self.mat.dtype)
+
+    def complex64(self) -> "DenseOperator":
+        """The same operator on a complex64 copy of the matrix."""
+        twin = DenseOperator(self.mat, self.u_max)
+        twin.mat = self.mat.astype(np.complex64)
+        return twin
 
     def columns(self, support):
         return self.mat[:, np.asarray(support, dtype=int)]

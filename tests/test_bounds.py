@@ -224,6 +224,9 @@ class TestDetectionBounds:
             lte_inputs(delta_2k=0.5)
         with pytest.raises(ValueError):
             lte_inputs(alpha=0.0)
+        for field in ("delta_2k", "alpha", "xi", "sigma2"):
+            with pytest.raises(ValueError):
+                lte_inputs(**{field: math.nan})
 
 
 class TestRateBounds:
@@ -328,8 +331,12 @@ class TestThroughput:
             assert np.all(d[:top] >= 0) and np.all(d[top:] <= 0)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            aloha_throughput(-1.0, 1, 1.0, 1.0)
+        for args in ((-1.0, 1, 1.0, 1.0), (math.nan, 1, 1.0, 1.0),
+                     (math.inf, 1, 1.0, 1.0), (1.0, 0, 1.0, 1.0),
+                     (1.0, 1, math.nan, 1.0), (1.0, 1, 1.0, math.nan),
+                     (0.0, 1, 1.0, math.inf)):
+            with pytest.raises(ValueError):
+                aloha_throughput(*args)
 
 
 class TestSerRayleigh:

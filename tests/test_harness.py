@@ -358,17 +358,22 @@ class TestCsvEmission:
             pytest.skip("numpy is not built on OpenBLAS")
         cfg_path = tmp_path / "scenario.cfg"
         write_config(toy_cfg(trials=3, solver="bpdn"), cfg_path)
-        tables = []
+        tables, traces = [], []
         for threads in ("1", "2"):
             out = tmp_path / f"blas{threads}.csv"
+            diag = tmp_path / f"diag{threads}"
             proc = subprocess.run(
                 [sys.executable, "-m", "csra.cli", "link-sim", "--config",
-                 str(cfg_path), "--alphas", "0.3,0.8", "--out", str(out)],
+                 str(cfg_path), "--alphas", "0.3,0.8", "--out", str(out),
+                 "--diagnostics", str(diag)],
                 env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
                 capture_output=True, text=True)
             assert proc.returncode == 0, proc.stderr
             tables.append(out.read_bytes())
+            # each solve's checks, single-precision phase included
+            traces.append({p.name: p.read_bytes() for p in diag.iterdir()})
         assert tables[0] == tables[1]
+        assert len(traces[0]) == 6 and traces[0] == traces[1]
 
     def test_link_csv_nan_sentinel(self, tmp_path):
         cfg = toy_cfg(k2=0, trials=2)
@@ -545,6 +550,20 @@ class TestCli:
             code = cli.main(["link-sim", "--config", str(bad)])
             assert code == 1
             assert "config error: " in capsys.readouterr().err
+        # NaN flags fail the evaluators' domain checks, which name the flag
+        out = tmp_path / "out.csv"
+        for argv, message in (
+                (["bounds", "--alphas", "nan"], "alpha must be in (0, 1]"),
+                (["bounds", "--xi-norm", "nan"], "xi and sigma2 must be >= 0"),
+                (["bounds", "--cutoff", "nan"], "cutoff_delta must be >= 0"),
+                (["throughput", "--pr-rate", "nan"], "pr_rate in [0,1]"),
+                (["throughput", "--lambdas", "nan"], "finite load >= 0"),
+                (["throughput", "--rate", "inf"], "finite rate >= 0"),
+                (["throughput", "--b-slots", "0"], "b_slots >= 1")):
+            assert cli.main(argv + ["--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and message in err, err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["link-sim", "roc"])
     @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -756,9 +775,10 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert len(proc.stdout.split()) == 1, proc.stdout
 
-    def test_entry_point_installed(self):
+    def test_entry_point_installed(self, tmp_path):
+        out = tmp_path / "throughput.csv"
         proc = subprocess.run([sys.executable, "-m", "csra.cli", "throughput",
                                "--lambdas", "0.5,1.0,2.0", "--b-slots", "1",
-                               "--out", "/tmp/tp_cli_test.csv"],
+                               "--out", str(out)],
                               capture_output=True, text=True)
-        assert proc.returncode == 0
+        assert proc.returncode == 0 and out.is_file()

@@ -252,10 +252,24 @@ class TestBpdn:
             assert np.allclose(scaled.h_hat, c * base.h_hat, rtol=1e-12, atol=1e-12)
 
     def test_nonconvergence_is_reported(self, monkeypatch):
-        monkeypatch.setattr(recovery, "DR_MAX_ITER", 3)
+        """The cap is shared by both phases: 3 stops the single phase before
+        its first check, 30 after its second."""
         mat, _, y, eps = bpdn_reference_instance()
-        rec = bpdn(DenseOperator(mat), y, eps)
-        assert not rec.converged and rec.iterations == 3
+        for cap in (3, 30):
+            monkeypatch.setattr(recovery, "DR_MAX_ITER", cap)
+            rec = bpdn(DenseOperator(mat), y, eps)
+            assert not rec.converged and rec.iterations == cap
+            assert rec.h_hat.dtype == np.complex128
+
+    def test_zero_eps_feasible_in_double(self):
+        """eps = 0 asks for the DR_FEAS_FLOOR residual, which single
+        precision may not reach: the double phase certifies it."""
+        mat, _, y, _ = bpdn_reference_instance()
+        rec = bpdn(DenseOperator(mat), y, 0.0)
+        assert rec.converged and rec.h_hat.dtype == np.complex128
+        residual = np.linalg.norm(mat @ rec.h_hat - y)
+        assert residual <= recovery.DR_FEAS_FLOOR * np.linalg.norm(y)
+        assert rec.residual_norm == pytest.approx(residual, rel=1e-9)
 
     def test_rejects_negative_eps(self):
         op, _, y = toy_instance(toy_cfg(), 0)

@@ -61,13 +61,31 @@ class TestApplyAdjoint:
             assert np.max(np.abs(toy_op.apply(h) - ref)) / scale <= 1e-10
 
     def test_adjoint_identity(self, toy_op):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            x = random_vec(rng, toy_op.shape[1])
-            y = random_vec(rng, toy_op.shape[0])
-            lhs = np.vdot(y, toy_op.apply(x))
-            rhs = np.vdot(toy_op.adjoint(y), x)
-            assert abs(lhs - rhs) / max(1.0, abs(lhs)) <= 1e-10
+        # the operator and its complex64 twin, each to the same 4.5e5 units
+        # of round-off of its precision
+        for op, dtype, tol in ((toy_op, np.complex128, 1e-10),
+                               (toy_op.complex64(), np.complex64, 5e-2)):
+            rng = np.random.default_rng(12)
+            for _ in range(100):
+                x = random_vec(rng, op.shape[1]).astype(dtype)
+                y = random_vec(rng, op.shape[0]).astype(dtype)
+                lhs = np.vdot(y, op.apply(x))
+                rhs = np.vdot(op.adjoint(y), x)
+                assert abs(lhs - rhs) / max(1.0, abs(lhs)) <= tol
+
+    def test_complex64_twin_matches_double(self, toy_op):
+        """Both operator classes' twins compute in complex64 and agree with
+        the double operator on the same complex64 inputs to single-precision
+        round-off; the double operator keeps complex128."""
+        rng = np.random.default_rng(13)
+        x = random_vec(rng, toy_op.shape[1]).astype(np.complex64)
+        y = random_vec(rng, toy_op.shape[0]).astype(np.complex64)
+        for op in (toy_op, DenseOperator(toy_op.materialize())):
+            twin = op.complex64()
+            for got, ref in ((twin.apply(x), op.apply(x)),
+                             (twin.adjoint(y), op.adjoint(y))):
+                assert got.dtype == np.complex64 and ref.dtype == np.complex128
+                assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
 
     def test_single_row_adjoint_is_conjugate_column(self):
         cfg = toy_cfg()
