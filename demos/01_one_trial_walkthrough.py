@@ -48,7 +48,7 @@ print(f"largest inactive energy: {rec.user_energies[inactive].max():.2e}")
 detected = detect_active(rec.user_energies, cfg.xi_thr)
 rx_bits, n_erased = equalize_demodulate(frame.y_freq, rec.h_hat, plan,
                                         detected, cfg.modulation)
-metrics = tally(activity.active, detected, frame.tx_bits, rx_bits,
+metrics = tally(activity.active, detected, data.bits, rx_bits,
                 cfg.modulation, n_erased=n_erased)
 print(f"\ndetection at xi_thr={cfg.xi_thr}: {len(detected)} users, "
       f"missed={metrics.n_md}, false alarms={metrics.n_fa}")

@@ -361,7 +361,6 @@ class RateEstimate:
     stderr: float
     p_md_hat: float
     trials: int
-    units: str = RATE_UNITS
 
 
 def simulated_ergodic_rate(cfg: SystemConfig, trials: int,

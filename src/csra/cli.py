@@ -10,7 +10,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, SystemConfig, read_config, desk_profile, lte_profile
+from .config import (ConfigError, SOLVERS, SystemConfig, read_config,
+                     desk_profile, lte_profile)
 from . import harness
 
 
@@ -37,21 +38,22 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", type=Path, help="scenario file (flat key = value)")
         sp.add_argument("--profile", choices=("desk", "lte"), default="desk")
-        sp.add_argument("--solver", choices=("cosamp", "bpdn"))
+        sp.add_argument("--solver", choices=SOLVERS)
         sp.add_argument("--trials", type=int)
         sp.add_argument("--seed", type=int)
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--xi-thr", type=float, help="activity energy threshold")
         sp.add_argument("--out", type=Path)
 
     sp = sub.add_parser("link-sim", help="SER/detection sweep over alpha")
     common(sp)
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--alphas", type=str, default=DEFAULT_ALPHAS)
     sp.add_argument("--diagnostics", type=Path,
                     help="directory for per-trial solver traces")
 
     sp = sub.add_parser("roc", help="missed-detection/false-alarm sweep over xi")
     common(sp)
+    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--xi-grid", type=str, default=DEFAULT_XIS)
     sp.add_argument("--diagnostics", type=Path)
 
@@ -71,8 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rate", type=float, default=1.0)
     sp.add_argument("--out", type=Path)
 
-    sp = sub.add_parser("validate", help="oracle-equivalence suite")
-    sp.add_argument("--verbose", action="store_true")
+    sub.add_parser("validate", help="oracle-equivalence suite")
     return p
 
 
@@ -126,7 +127,9 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "validate":
-        checks = harness.validate(verbose=True)
+        checks = harness.validate()
+        for c in checks:
+            print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
         return 0 if all(c.passed for c in checks) else 2
 
     if args.command == "throughput":
@@ -142,7 +145,24 @@ def _dispatch(args) -> int:
         return 0
 
     cfg = _load_config(args)
-    if args.threads < 1:
+    if args.command == "bounds":
+        out = args.out or Path("bounds.csv")
+        try:    # the bound evaluators own the domains of these flags
+            rows = harness.emit_bounds(cfg, _grid(args.alphas), xi=args.xi_norm,
+                                       delta_2k=args.delta2k,
+                                       cutoff_delta=args.cutoff, out_path=out)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        pmd = harness.BOUNDS_HEADER.index("pmd_bound")
+        if all(row[pmd] == 1.0 for row in rows):
+            print(f"note: every pmd_bound is vacuous (clamped to 1) at "
+                  f"xi_norm = {args.xi_norm}, cutoff = {args.cutoff} "
+                  f"(k1 = {cfg.k1}): the margin tail integral diverges or its "
+                  f"noise term exceeds 1", file=sys.stderr)
+        print(f"wrote {out}")
+        return 0
+
+    if args.threads < 1:     # link-sim and roc
         raise ConfigError(f"--threads must be >= 1, got {args.threads}")
 
     if args.command == "link-sim":
@@ -159,23 +179,6 @@ def _dispatch(args) -> int:
         _, records = harness.sweep_roc(cfg, _grid(args.xi_grid), out_path=out,
                                        threads=args.threads)
         _report_run(args.command, {"": records}, args.diagnostics)
-        print(f"wrote {out}")
-        return 0
-
-    if args.command == "bounds":
-        out = args.out or Path("bounds.csv")
-        try:    # the bound evaluators own the domains of these flags
-            rows = harness.emit_bounds(cfg, _grid(args.alphas), xi=args.xi_norm,
-                                       delta_2k=args.delta2k,
-                                       cutoff_delta=args.cutoff, out_path=out)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        pmd = harness.BOUNDS_HEADER.index("pmd_bound")
-        if all(row[pmd] == 1.0 for row in rows):
-            print(f"note: every pmd_bound is vacuous (clamped to 1) at "
-                  f"xi_norm = {args.xi_norm}, cutoff = {args.cutoff} "
-                  f"(k1 = {cfg.k1}): the margin tail integral diverges or its "
-                  f"noise term exceeds 1", file=sys.stderr)
         print(f"wrote {out}")
         return 0
 

@@ -7,6 +7,7 @@ remaining subcarriers are divided into b_slots frequency slots for data.
 
 from dataclasses import dataclass, fields, replace
 import hashlib
+import math
 from operator import attrgetter, index
 
 import numpy as np
@@ -96,7 +97,8 @@ class SystemConfig:
             (0 <= c.k2 <= c.u_max, "need 0 <= k2 <= u_max"),
             (c.u_max >= 1, "u_max must be >= 1"),
             (0.0 <= c.alpha <= 1.0, "alpha must be in [0, 1]"),
-            (not np.isnan(c.snr_db), "snr_db must not be NaN"),
+            # NaN fails the comparison; +inf (noiseless) is valid
+            (c.snr_db > -math.inf, "snr_db must not be NaN or -inf"),
             (c.b_slots >= 1, "b_slots must be >= 1"),
             (c.window_mode in WINDOW_MODES, f"window_mode not in {WINDOW_MODES}"),
             (c.sensing_mode == "plain", "sensing_mode must be 'plain': the "

@@ -66,7 +66,6 @@ class TrialRecord:
 class Scenario:
     """Scenario-level state shared by all trials of one config."""
 
-    cfg: SystemConfig
     plan: SlotPlan
     op: SensingOperator       # holds the window and pilots
     eps: float
@@ -75,7 +74,7 @@ class Scenario:
 def make_scenario(cfg: SystemConfig) -> Scenario:
     pilots = build_pilot_book(cfg)
     op = build_operator(cfg, pilots)
-    return Scenario(cfg=cfg, plan=slot_plan(cfg, pilots.window), op=op,
+    return Scenario(plan=slot_plan(cfg, pilots.window), op=op,
                     eps=noise_ball_radius(cfg))
 
 
@@ -108,7 +107,7 @@ def run_trial(cfg: SystemConfig, trial_index: int,
     rx_bits, n_erased = equalize_demodulate(frame.y_freq, rec.h_hat,
                                             scenario.plan, detected,
                                             cfg.modulation)
-    metrics = tally(activity.active, detected, frame.tx_bits, rx_bits,
+    metrics = tally(activity.active, detected, data.bits, rx_bits,
                     cfg.modulation, n_erased=n_erased, discarded=discarded)
     marks.append(time.perf_counter())
     return TrialRecord(trial_index=trial_index, metrics=metrics,
@@ -130,8 +129,7 @@ def run_trials(cfg: SystemConfig, n_trials: int, threads: int = 1) -> list[Trial
     parallelism (pure per-trial streams, records sorted by index)."""
     indices = list(range(n_trials))
     if threads <= 1 or n_trials <= 1:
-        scenario = make_scenario(cfg)
-        return [run_trial(cfg, i, scenario) for i in indices]
+        return _run_chunk((cfg, indices))
     from concurrent.futures import ProcessPoolExecutor   # off the import path
     chunks = [c.tolist() for c in np.array_split(indices, min(threads, n_trials))]
     # a fork pool starts all its workers up front: one per chunk
@@ -289,11 +287,11 @@ class CheckResult:
     detail: str
 
 
-def adjoint_mismatch(op, rng: np.random.Generator, pairs: int = 100) -> float:
-    """max over random (x, y) of |<Ax,y> - <x,A*y>| / max(1, |<Ax,y>|)."""
+def adjoint_mismatch(op, rng: np.random.Generator) -> float:
+    """max over 100 random (x, y) of |<Ax,y> - <x,A*y>| / max(1, |<Ax,y>|)."""
     worst = 0.0
     m, n_cols = op.shape
-    for _ in range(pairs):
+    for _ in range(100):
         x = rng.standard_normal(n_cols) + 1j * rng.standard_normal(n_cols)
         y = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         lhs = np.vdot(y, op.apply(x))
@@ -398,10 +396,11 @@ def _check_bpdn_certificate() -> CheckResult:
         noise = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
         noise *= 1e-3 / np.linalg.norm(noise)
         eps = 1e-3
-        rec = bpdn(DenseOperator(mat), mat @ h + noise, eps, h_true=h)
-        ok &= rec.d_norm <= c1 * eps
+        rec = bpdn(DenseOperator(mat), mat @ h + noise, eps)
+        d_norm = float(np.linalg.norm(rec.h_hat - h))
+        ok &= d_norm <= c1 * eps
         certified += 1
-        detail.append(f"{rec.d_norm:.2e}<={c1 * eps:.2e}")
+        detail.append(f"{d_norm:.2e}<={c1 * eps:.2e}")
     # a check that certifies no draw has tested nothing
     return CheckResult("bpdn_error_certificate", ok and certified > 0,
                        "; ".join(detail))
@@ -434,9 +433,9 @@ def _check_cr_divergence() -> CheckResult:
                        f"cutoff->0 value {val}")
 
 
-def validate(verbose: bool = False) -> list[CheckResult]:
+def validate() -> list[CheckResult]:
     """Oracle-equivalence suite; all checks must pass on a fresh checkout."""
-    checks = [
+    return [
         _check_fft_convolution(),
         _check_operator_dense(),
         _check_adjoint(),
@@ -446,7 +445,3 @@ def validate(verbose: bool = False) -> list[CheckResult]:
         _check_corollary(),
         _check_cr_divergence(),
     ]
-    if verbose:
-        for c in checks:
-            print(f"{'PASS' if c.passed else 'FAIL'} {c.name}: {c.detail}")
-    return checks

@@ -87,7 +87,6 @@ class PilotBook:
     n: int
     window: np.ndarray        # (m,)
     window_values: np.ndarray  # (u_max, m)
-    alpha: float
     block: np.ndarray         # (t_cp, m), delay_block(window, t_cp, n)
 
     @property
@@ -100,11 +99,6 @@ class ActivityPattern:
     """Set of active user indices (0-based, sorted)."""
 
     active: np.ndarray
-    u_max: int
-
-    @property
-    def k2(self) -> int:
-        return len(self.active)
 
 
 @dataclass(frozen=True)
@@ -137,12 +131,10 @@ class UserData:
 
 @dataclass(frozen=True)
 class FrameSignals:
-    """One transmitted/received frame in the frequency domain."""
+    """One received frame in the frequency domain."""
 
     y_freq: np.ndarray          # (n,) received y_hat
     y_window: np.ndarray        # (m,) control-window observation
-    tx_bits: np.ndarray         # (u_max, bits_per_user)
-    tx_symbols: np.ndarray      # (u_max, symbols_per_user), amplitude-scaled
     noise_window_norm: float    # l2 norm of the noise part of y_window
 
 
@@ -160,14 +152,14 @@ def build_pilot_book(cfg: SystemConfig) -> PilotBook:
     phases = rng.uniform(0.0, 2.0 * np.pi, size=(cfg.u_max, cfg.m))
     window = control_window(cfg)
     return PilotBook(n=cfg.n, window=window,
-                     window_values=amp * np.exp(1j * phases), alpha=cfg.alpha,
+                     window_values=amp * np.exp(1j * phases),
                      block=delay_block(window, cfg.t_cp, cfg.n))
 
 
 def draw_activity(cfg: SystemConfig, rng: np.random.Generator) -> ActivityPattern:
     """Uniformly random k2-subset of the u_max users."""
     active = np.sort(rng.choice(cfg.u_max, size=cfg.k2, replace=False))
-    return ActivityPattern(active=active, u_max=cfg.u_max)
+    return ActivityPattern(active=active)
 
 
 def draw_channels(cfg: SystemConfig, activity: ActivityPattern,
@@ -220,14 +212,12 @@ def transmit_receive(cfg: SystemConfig, pilots: PilotBook, data: UserData,
 
     active = np.flatnonzero(channels.user_energies() > 0)
     data_amp = np.sqrt(1.0 - cfg.alpha)
-    tx_symbols = np.zeros_like(data.symbols)
 
     y_clean = np.zeros(cfg.n, dtype=complex)
     for u in active:
         taps = channels.per_user(u)
         subs = plan.user_subcarriers(u)
         scaled = data_amp * data.symbols[u]
-        tx_symbols[u] = scaled
         y_clean[window] += (channel_gains(taps, window, cfg.n, pilots.block)
                             * pilots.window_values[u])
         y_clean[subs] += channel_gains(taps, subs, cfg.n) * scaled
@@ -236,5 +226,4 @@ def transmit_receive(cfg: SystemConfig, pilots: PilotBook, data: UserData,
                                          + 1j * rng.standard_normal(cfg.n))
     y_freq = y_clean + noise
     return FrameSignals(y_freq=y_freq, y_window=y_freq[window],
-                        tx_bits=data.bits, tx_symbols=tx_symbols,
                         noise_window_norm=float(np.linalg.norm(noise[window])))

@@ -33,7 +33,6 @@ class RecoveryResult:
     residual_norm: float             # ||A h_hat - y||
     iterations: int
     converged: bool
-    d_norm: float | None = None      # ||h_hat - h_true|| when truth supplied
     rank_deficient: bool = False
     history: list = field(default_factory=list)  # (iteration, residual, nnz)
 
@@ -54,17 +53,15 @@ def _top(magnitudes: np.ndarray, count: int) -> np.ndarray:
     return np.sort(np.concatenate((above, ties)))
 
 
-def _result(op, h, y, iterations, converged, h_true=None, history=None,
+def _result(op, h, y, iterations, converged, history=None,
             rank_deficient=False, residual=None) -> RecoveryResult:
     """The result for iterate h; `residual`, when the solver already holds
     ||A h - y||, saves the closing apply."""
     if residual is None:
         residual = float(np.linalg.norm(op.apply(h) - y))
-    d = None if h_true is None else float(np.linalg.norm(h - h_true))
     return RecoveryResult(h_hat=h, user_energies=_energies(h, op.u_max, op.t_cp),
                           residual_norm=residual, iterations=iterations,
-                          converged=converged, d_norm=d,
-                          rank_deficient=rank_deficient,
+                          converged=converged, rank_deficient=rank_deficient,
                           history=history or [])
 
 
@@ -98,8 +95,7 @@ def _merged_fit(op, y: np.ndarray, merged: np.ndarray, k: int):
 COSAMP_MAX_ITER = 50
 
 
-def cosamp(op, y: np.ndarray, k: int,
-           h_true: np.ndarray | None = None) -> RecoveryResult:
+def cosamp(op, y: np.ndarray, k: int) -> RecoveryResult:
     """Standard CoSaMP: proxy top-2k merge, restricted least squares, prune
     to the k largest merged coefficients, refit on the pruned support. Both
     fits solve the normal equations of one gather per iteration by a
@@ -146,7 +142,7 @@ def cosamp(op, y: np.ndarray, k: int,
         history.append((it, res_norm, int(np.count_nonzero(h))))
         if res_norm <= stop or rel_change < 1e-6:
             converged = True
-    return _result(op, h, y, it, converged, h_true, history, flagged,
+    return _result(op, h, y, it, converged, history, flagged,
                    residual=res_norm)
 
 
@@ -249,8 +245,7 @@ def _dr_check(x, ax, yn, obj_prev, it, y_norm, history):
     return feas, obj, abs(obj - obj_prev) <= DR_OBJ_TOL * max(obj, 1e-15)
 
 
-def bpdn(op, y: np.ndarray, eps: float,
-         h_true: np.ndarray | None = None) -> RecoveryResult:
+def bpdn(op, y: np.ndarray, eps: float) -> RecoveryResult:
     """min ||h||_1 subject to ||A h - y|| <= eps.
 
     Relaxed Douglas-Rachford splitting of ||h||_1 and the indicator of the
@@ -260,14 +255,17 @@ def bpdn(op, y: np.ndarray, eps: float,
     exact. A z is carried along by recursion, so each iteration costs one
     apply and at most one adjoint. The problem is solved on y/||y||.
 
-    The iterations run in two precisions and share DR_MAX_ITER, the
-    iteration count and the history. The single phase iterates in complex64
-    on `op.complex64()` and on y/||y|| and eps/||y|| each rounded once to
-    single precision, until the first check at which the objective test
-    passes, feasible or not (float32 may not reach DR_FEAS_FLOOR). The
-    double phase promotes z, recomputes A z in double and continues on the
-    double inputs until the full rule holds; when the single answer was
-    feasible its first test comes at once, against the single phase's last
+    One loop runs two phases, single then double precision, over one
+    (operator, y, eps) each; they share DR_MAX_ITER, the iteration count,
+    the history, the projection's multiplier and the check cadence (every
+    DR_CHECK_EVERY iterations and at DR_MAX_ITER). A check stops a phase
+    when the objective test passes and the residual is feasible, or, in the
+    single phase, whether feasible or not (float32 may not reach
+    DR_FEAS_FLOOR). The single phase iterates in complex64 on
+    `op.complex64()` and on y/||y|| and eps/||y|| each rounded once to
+    single precision. The double phase promotes z, recomputes A z in double
+    and continues on the double inputs; when the single answer was feasible
+    its first check comes at once, against the single phase's last
     objective, so an answer that already meets the rule in double costs one
     iteration more. The single phase depends only on the two rounded
     inputs, which are the same for (y, eps) and (c y, c eps), so the
@@ -284,57 +282,50 @@ def bpdn(op, y: np.ndarray, eps: float,
 
     y_norm = float(np.linalg.norm(y))
     if eps >= y_norm:   # zero is feasible, hence l1-minimal
-        return _result(op, np.zeros(n_cols, dtype=complex), y, 0, True, h_true)
+        return _result(op, np.zeros(n_cols, dtype=complex), y, 0, True)
 
     lam, vecs = op.gram_eigh
     lam_max = float(lam[-1])
     if lam_max <= 0.0:
-        return _result(op, np.zeros(n_cols, dtype=complex), y, 0, False, h_true)
+        return _result(op, np.zeros(n_cols, dtype=complex), y, 0, False)
     # eigenvalues at round-off level count as the null space of A^H
     lam = np.where(lam > lam_max * len(lam) * _ROUNDOFF, lam, 0.0)
     gamma = DR_STEP / math.sqrt(lam_max)
 
     yn = y / y_norm
     epsn = eps / y_norm
-    feas_target = max(epsn * (1.0 + DR_FEAS_TOL), DR_FEAS_FLOOR)
     history = []
-    it, obj_prev, converged = 0, np.inf, False
-
-    # single phase: its two inputs rounded once
-    yn32 = yn.astype(np.complex64)
-    eps32 = float(np.float32(epsn))
-    z = np.zeros(n_cols, dtype=np.complex64)
-    x, mu, feasible = z, 0.0, False
-    steps = _dr_iterates(op.complex64(), yn32, eps32, z,
-                         np.zeros(m, dtype=np.complex64), lam, vecs, gamma, mu)
-    for x, ax, mu in islice(steps, DR_MAX_ITER):
-        it += 1
-        if it % DR_CHECK_EVERY == 0 or it == DR_MAX_ITER:
-            feas, obj_prev, stable = _dr_check(x, ax, yn32, obj_prev, it,
-                                               y_norm, history)
-            if stable:
-                feasible = feas <= max(eps32 * (1.0 + DR_FEAS_TOL),
-                                       DR_FEAS_FLOOR)
-                break
-
-    # double phase, from the state the single phase reached
-    check = it + (1 if feasible else DR_CHECK_EVERY)
-    z = z.astype(complex)
-    steps = _dr_iterates(op, yn, epsn, z, op.apply(z), lam, vecs,
-                         gamma, mu)
-    for x, ax, mu in islice(steps, DR_MAX_ITER - it):
-        it += 1
-        if it == check or it == DR_MAX_ITER:
-            check += DR_CHECK_EVERY
-            feas, obj_prev, stable = _dr_check(x, ax, yn, obj_prev, it,
-                                               y_norm, history)
-            if feas <= feas_target and stable:
-                converged = True
-                break
+    it, check, obj_prev, converged = 0, DR_CHECK_EVERY, np.inf, False
+    z, az, mu = (np.zeros(n_cols, dtype=np.complex64),
+                 np.zeros(m, dtype=np.complex64), 0.0)
+    # (final, operator, y, eps): the single phase on its two inputs rounded
+    # once, then the double phase from the state the single phase reached
+    phases = ((False, op.complex64(), yn.astype(np.complex64),
+               float(np.float32(epsn))),
+              (True, op, yn, epsn))
+    for final, phase_op, phase_y, phase_eps in phases:
+        if final:
+            z = z.astype(complex)
+            az = op.apply(z)
+        target = max(phase_eps * (1.0 + DR_FEAS_TOL), DR_FEAS_FLOOR)
+        feasible = False
+        steps = _dr_iterates(phase_op, phase_y, phase_eps, z, az, lam, vecs,
+                             gamma, mu)
+        for x, ax, mu in islice(steps, DR_MAX_ITER - it):
+            it += 1
+            if it == check or it == DR_MAX_ITER:
+                check += DR_CHECK_EVERY
+                feas, obj_prev, stable = _dr_check(x, ax, phase_y, obj_prev,
+                                                   it, y_norm, history)
+                feasible = feas <= target
+                if stable and (feasible or not final):
+                    converged = final
+                    break
+        check = it + (1 if feasible else DR_CHECK_EVERY)
     h_raw = np.asarray(x, dtype=complex) * y_norm
-    result = _result(op, h_raw, y, it, converged, h_true, history)
-    if not converged:
-        result.converged = result.residual_norm <= feas_target * y_norm
+    result = _result(op, h_raw, y, it, converged, history)
+    if not converged:   # target is the double phase's
+        result.converged = result.residual_norm <= target * y_norm
     return result
 
 

@@ -116,15 +116,14 @@ class SensingOperator:
 
 
 class DenseOperator:
-    """Same protocol as SensingOperator for an explicit matrix (tests, toys)."""
+    """Same protocol as SensingOperator for an explicit matrix (tests, toys):
+    one user, with one tap per column."""
 
-    def __init__(self, mat: np.ndarray, u_max: int = 1):
+    u_max = 1
+
+    def __init__(self, mat: np.ndarray):
         self.mat = np.asarray(mat, dtype=complex)
-        self.m, n_cols = self.mat.shape
-        if n_cols % u_max:
-            raise ValueError("column count must divide evenly into users")
-        self.u_max = u_max
-        self.t_cp = n_cols // u_max
+        self.m, self.t_cp = self.mat.shape
 
     @property
     def shape(self):
@@ -138,7 +137,7 @@ class DenseOperator:
 
     def complex64(self) -> "DenseOperator":
         """The same operator on a complex64 copy of the matrix."""
-        twin = DenseOperator(self.mat, self.u_max)
+        twin = DenseOperator(self.mat)
         twin.mat = self.mat.astype(np.complex64)
         return twin
 

@@ -141,8 +141,9 @@ def test_criterion_05_bpdn_error_certificate(announce):
                                                + 1j * rng.standard_normal(2))
         e = rng.standard_normal(rows) + 1j * rng.standard_normal(rows)
         e *= eps / np.linalg.norm(e)
-        rec = bpdn(DenseOperator(mat), mat @ h + e, eps, h_true=h)
-        passed += rec.d_norm <= bpdn_stability_constant(delta) * eps
+        rec = bpdn(DenseOperator(mat), mat @ h + e, eps)
+        passed += (np.linalg.norm(rec.h_hat - h)
+                   <= bpdn_stability_constant(delta) * eps)
     ok = produced == 100 and passed == 100
     announce(5, ok, f"{passed}/{produced} instances within c1*eps "
                     f"({attempts} draws)")

@@ -48,31 +48,31 @@ class TestEqualizeDemodulate:
         pilots = build_pilot_book(cfg)
         plan = slot_plan(cfg)
         frame = transmit_receive(cfg, pilots, data, ch, rng, plan=plan)
-        return act, ch, frame, plan
+        return act, ch, data, frame, plan
 
     def test_perfect_csi_noiseless_is_error_free(self):
         cfg = toy_cfg(snr_db=np.inf)
-        act, ch, frame, plan = self.chain(cfg)
+        act, ch, data, frame, plan = self.chain(cfg)
         bits, n_erased = equalize_demodulate(frame.y_freq, ch.compound, plan,
                                              act.active, cfg.modulation)
-        metrics = tally(act.active, act.active, frame.tx_bits, bits, cfg.modulation)
+        metrics = tally(act.active, act.active, data.bits, bits, cfg.modulation)
         assert metrics.ser == 0.0 and n_erased == 0
 
     def test_qpsk_perfect_csi(self):
         cfg = toy_cfg(snr_db=np.inf, modulation="qpsk")
-        act, ch, frame, plan = self.chain(cfg)
+        act, ch, data, frame, plan = self.chain(cfg)
         bits, _ = equalize_demodulate(frame.y_freq, ch.compound, plan,
                                       act.active, "qpsk")
-        metrics = tally(act.active, act.active, frame.tx_bits, bits, "qpsk")
+        metrics = tally(act.active, act.active, data.bits, bits, "qpsk")
         assert metrics.ser == 0.0
 
     def test_zero_estimate_erases_everything(self):
         cfg = toy_cfg()
-        act, ch, frame, plan = self.chain(cfg)
+        act, ch, data, frame, plan = self.chain(cfg)
         bits, n_erased = equalize_demodulate(frame.y_freq,
                                              np.zeros_like(ch.compound), plan,
                                              act.active, cfg.modulation)
-        metrics = tally(act.active, act.active, frame.tx_bits, bits,
+        metrics = tally(act.active, act.active, data.bits, bits,
                         cfg.modulation, n_erased=n_erased)
         assert metrics.ser == 0.5           # pure guessing, by accounting
         assert n_erased == cfg.k2 * cfg.symbols_per_user

@@ -63,13 +63,17 @@ class TestConfig:
                 toy_cfg(**kw)
 
     def test_nan_snr_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="snr_db"):
-            toy_cfg(snr_db=float("nan"))
+        # -inf dB is infinite noise: link-sim would fail on a non-finite y
+        # and bounds would write sigma2 = inf
         path = tmp_path / "nan.cfg"
         write_config(toy_cfg(), path)
-        path.write_text(path.read_text().replace("snr_db = 20.0", "snr_db = nan"))
-        with pytest.raises(ConfigError, match="snr_db"):
-            read_config(path)
+        text = path.read_text()
+        for bad in ("nan", "-inf"):
+            with pytest.raises(ConfigError, match="snr_db"):
+                toy_cfg(snr_db=float(bad))
+            path.write_text(text.replace("snr_db = 20.0", f"snr_db = {bad}"))
+            with pytest.raises(ConfigError, match="snr_db"):
+                read_config(path)
         assert toy_cfg(snr_db=math.inf).sigma2 == 0.0
 
     def test_qpsk_needs_even_bits(self):
@@ -332,6 +336,10 @@ class TestCsvEmission:
     # SHA-256 of small link-sim/roc tables from the shipped profiles. Their
     # cells are means of decision counts, so the bytes move only when a
     # detection or symbol decision flips, not with BLAS round-off.
+    # TRACE_DIGESTS pin where each BPDN solve of a run stops: SHA-256 over
+    # its --diagnostics traces, file name then the integer columns
+    # (iteration, sparsity). The residual column is left out: it moves in
+    # its last digits with the BLAS kernel and thread count.
     RUN_DIGESTS = {
         "desk-bpdn": (["link-sim", "--profile", "desk", "--alphas", "0.31,0.7",
                        "--trials", "4"],
@@ -345,13 +353,30 @@ class TestCsvEmission:
                         "--trials", "4"],
                        "23d0bc0af7eed3f5b8a7134c67de92798b782cae601652ef548ad652e11d50ed"),
     }
+    TRACE_DIGESTS = {
+        "desk-bpdn": "d246178c3383d6b9b5165d95c3740f3d14787ee4e42caacc3a752cf22494e5b5",
+    }
+
+    @staticmethod
+    def trace_digest(directory) -> str:
+        sha = hashlib.sha256()
+        for path in sorted(directory.iterdir()):
+            sha.update(path.name.encode())
+            for line in path.read_text().splitlines()[1:]:
+                iteration, _, sparsity = line.split(",")
+                sha.update(f";{iteration},{sparsity}".encode())
+            sha.update(b"\n")
+        return sha.hexdigest()
 
     @pytest.mark.parametrize("run", sorted(RUN_DIGESTS))
     def test_run_csv_bytes_pinned(self, tmp_path, capsys, run):
         argv, digest = self.RUN_DIGESTS[run]
-        out = tmp_path / "run.csv"
-        assert cli.main([*argv, "--out", str(out)]) == 0
+        out, diag = tmp_path / "run.csv", tmp_path / "diag"
+        traced = ["--diagnostics", str(diag)] if run in self.TRACE_DIGESTS else []
+        assert cli.main([*argv, "--out", str(out), *traced]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        if traced:
+            assert self.trace_digest(diag) == self.TRACE_DIGESTS[run]
 
     def test_link_csv_independent_of_blas_threads(self, tmp_path):
         if not numpy_on_openblas():
@@ -528,24 +553,30 @@ class TestValidation:
     def test_adjoint_check_catches_sign_flip(self):
         op = build_operator(toy_cfg())
         rng = np.random.default_rng(31)
-        assert adjoint_mismatch(op, rng, pairs=20) <= 1e-10
+        assert adjoint_mismatch(op, rng) <= 1e-10
         corrupted = SignFlippedOp(build_operator(toy_cfg()))
-        assert adjoint_mismatch(corrupted, np.random.default_rng(31), pairs=20) > 1e-6
+        assert adjoint_mismatch(corrupted, np.random.default_rng(31)) > 1e-6
 
 
 class TestCli:
     def test_validate_exit_zero(self, capsys):
+        checks = validate()
+        assert capsys.readouterr().out == ""     # the library prints nothing
         assert cli.main(["validate"]) == 0
+        # the CLI prints one line per check, in validate() order
+        assert capsys.readouterr().out.splitlines() == [
+            f"PASS {c.name}: {c.detail}" for c in checks]
 
     def test_validate_exit_two_on_failure(self, monkeypatch):
         from csra.harness import CheckResult
         monkeypatch.setattr(cli.harness, "validate",
-                            lambda verbose=False: [CheckResult("x", False, "boom")])
+                            lambda: [CheckResult("x", False, "boom")])
         assert cli.main(["validate"]) == 2
 
     def test_config_error_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
-        for text in ("nonsense_key = 7\n", "sensing_mode = randomized\n"):
+        for text in ("nonsense_key = 7\n", "sensing_mode = randomized\n",
+                     "snr_db = -inf\n"):
             bad.write_text(text)
             code = cli.main(["link-sim", "--config", str(bad)])
             assert code == 1

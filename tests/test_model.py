@@ -209,7 +209,7 @@ class TestTransmitReceive:
         plan = slot_plan(cfg)
         frame = transmit_receive(cfg, pilots, data, ch, rng, plan=plan)
         x_freq = np.zeros(cfg.n, dtype=complex)
-        x_freq[plan.user_subcarriers(u)] = frame.tx_symbols[u]
+        x_freq[plan.user_subcarriers(u)] = np.sqrt(1 - cfg.alpha) * data.symbols[u]
         assert np.allclose(frame.y_freq, pilot_spectrum(pilots, u) + x_freq, atol=1e-12)
 
     def test_matches_time_domain_oracle(self):
@@ -228,7 +228,7 @@ class TestTransmitReceive:
             h_pad = np.zeros(cfg.n, dtype=complex)
             h_pad[:cfg.t_cp] = ch.per_user(u)
             x_freq = np.zeros(cfg.n, dtype=complex)
-            x_freq[plan.user_subcarriers(u)] = frame.tx_symbols[u]
+            x_freq[plan.user_subcarriers(u)] = np.sqrt(1 - cfg.alpha) * data.symbols[u]
             tx_time = np.fft.ifft(pilot_spectrum(pilots, u) + x_freq, norm="ortho")
             y_time += dense_circulant(h_pad) @ tx_time
         oracle = np.fft.fft(y_time, norm="ortho")
@@ -300,4 +300,3 @@ class TestTransmitReceive:
         a, b = frame(), frame()
         assert np.array_equal(a.y_freq, b.y_freq)
         assert np.array_equal(a.y_window, b.y_window)
-        assert np.array_equal(a.tx_bits, b.tx_bits)

@@ -72,9 +72,9 @@ class TestCosamp:
         hits = 0
         for trial in range(20):
             op, h_true, y = toy_instance(cfg, trial)
-            rec = cosamp(op, y, k=5, h_true=h_true)
+            rec = cosamp(op, y, k=5)
             if set(np.flatnonzero(rec.h_hat)) == set(np.flatnonzero(h_true)) \
-                    and rec.d_norm <= 1e-6:
+                    and np.linalg.norm(rec.h_hat - h_true) <= 1e-6:
                 hits += 1
         assert hits >= 19
 

@@ -125,7 +125,6 @@ def operators(draw):
     values = np.sqrt(n * alpha / m) * np.exp(
         2j * np.pi * rng.uniform(size=(u_max, m)))
     op = SensingOperator(PilotBook(n=n, window=window, window_values=values,
-                                   alpha=alpha,
                                    block=delay_block(window, t_cp, n)),
                          t_cp)
     return op, rng
