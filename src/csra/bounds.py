@@ -423,8 +423,11 @@ def simulated_ergodic_rate(cfg: SystemConfig, trials: int,
 
 
 def noise_ball_radius(cfg: SystemConfig) -> float:
-    """Default BPDN residual budget: sigma*sqrt(m + 2 sqrt(m log 10)), a
-    >=90%-coverage bound on the window noise norm. Trials whose realized
-    noise exceeds it are the 'discarded' cases, counted separately."""
+    """Default BPDN residual budget: sigma*sqrt(m + 2 sqrt(m log 10)). The
+    window noise energy is sigma^2 Gamma(m, 1), so the norm exceeds the
+    radius with probability P(Gamma(m, 1) > m + 2 sqrt(m ln 10)): 1.97e-3
+    at m = 256 (desk) and 1.61e-3 at m = 839 (LTE), a coverage above 99.8%.
+    Trials whose realized noise exceeds it are the 'discarded' cases,
+    counted separately."""
     sigma = math.sqrt(cfg.sigma2)
     return sigma * math.sqrt(cfg.m + 2.0 * math.sqrt(cfg.m * math.log(10.0)))

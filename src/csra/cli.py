@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: link-sim, roc, bounds, throughput, validate.
-Exit codes: 0 ok, 1 config error, 2 validation failure, 3 I/O error.
+Exit codes: 0 ok, 1 config or usage error, 2 validation failure, 3 I/O
+error.
 """
 
 import argparse
@@ -29,6 +30,11 @@ DEFAULT_ALPHAS = "0.01,0.11,0.21,0.31,0.41,0.51,0.61,0.71,0.81,0.91,1.0"
 DEFAULT_XIS = ",".join(repr(float(x)) for x in np.logspace(-4, 1, 26))
 
 
+def _usage_error(message: str):
+    """Every parser's error(): a usage error is a config error (exit 1)."""
+    raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="csra",
                                 description="One-shot compressive random access "
@@ -38,24 +44,25 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", type=Path, help="scenario file (flat key = value)")
         sp.add_argument("--profile", choices=("desk", "lte"), default="desk")
+        sp.add_argument("--out", type=Path)
+
+    def simulation(sp):
+        common(sp)
         sp.add_argument("--solver", choices=SOLVERS)
         sp.add_argument("--trials", type=int)
         sp.add_argument("--seed", type=int)
         sp.add_argument("--xi-thr", type=float, help="activity energy threshold")
-        sp.add_argument("--out", type=Path)
+        sp.add_argument("--threads", type=int, default=1)
+        sp.add_argument("--diagnostics", type=Path,
+                        help="directory for per-trial solver traces")
 
     sp = sub.add_parser("link-sim", help="SER/detection sweep over alpha")
-    common(sp)
-    sp.add_argument("--threads", type=int, default=1)
+    simulation(sp)
     sp.add_argument("--alphas", type=str, default=DEFAULT_ALPHAS)
-    sp.add_argument("--diagnostics", type=Path,
-                    help="directory for per-trial solver traces")
 
     sp = sub.add_parser("roc", help="missed-detection/false-alarm sweep over xi")
-    common(sp)
-    sp.add_argument("--threads", type=int, default=1)
+    simulation(sp)
     sp.add_argument("--xi-grid", type=str, default=DEFAULT_XIS)
-    sp.add_argument("--diagnostics", type=Path)
 
     sp = sub.add_parser("bounds", help="closed-form bound table over alpha")
     common(sp)
@@ -74,6 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", type=Path)
 
     sub.add_parser("validate", help="oracle-equivalence suite")
+    for parser in (p, *sub.choices.values()):
+        parser.error = _usage_error
     return p
 
 
@@ -83,12 +92,10 @@ def _load_config(args) -> SystemConfig:
     else:
         cfg = desk_profile() if args.profile == "desk" else lte_profile()
     overrides = {}
-    for name in ("solver", "trials", "seed"):
+    for name in ("solver", "trials", "seed", "xi_thr"):    # link-sim and roc
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
-    if getattr(args, "xi_thr", None) is not None:
-        overrides["xi_thr"] = args.xi_thr
     return cfg.with_(**overrides) if overrides else cfg
 
 
@@ -114,9 +121,8 @@ def _report_run(command: str, traces: dict, directory: Path | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        return _dispatch(_build_parser().parse_args(argv))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -49,7 +49,6 @@ class TrialRecord:
     metrics: TrialMetrics
     user_energies: np.ndarray
     active: np.ndarray
-    residual_norm: float
     solver_iterations: int
     solver_converged: bool
     history: list = field(default_factory=list)
@@ -112,7 +111,6 @@ def run_trial(cfg: SystemConfig, trial_index: int,
     marks.append(time.perf_counter())
     return TrialRecord(trial_index=trial_index, metrics=metrics,
                        user_energies=rec.user_energies, active=activity.active,
-                       residual_norm=rec.residual_norm,
                        solver_iterations=rec.iterations,
                        solver_converged=rec.converged, history=rec.history,
                        stage_seconds=np.diff(marks))

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (SystemConfig, SlotPlan, control_window, slot_plan,
-                     scenario_rng, PILOT_STREAM)
+from .config import (SystemConfig, SlotPlan, control_window, scenario_rng,
+                     PILOT_STREAM)
 
 
 # ---------------------------------------------------------------------------
@@ -201,15 +201,12 @@ def draw_data(cfg: SystemConfig, activity: ActivityPattern,
 
 def transmit_receive(cfg: SystemConfig, pilots: PilotBook, data: UserData,
                      channels: ChannelProfile, rng: np.random.Generator,
-                     plan: SlotPlan | None = None) -> FrameSignals:
+                     plan: SlotPlan) -> FrameSignals:
     """Superimpose all active users through their cyclic channels, add noise,
     and restrict y_hat to the control window, the observation P_B W y. Each
     user's pilot (on the window) and payload (on its slot) occupy disjoint
     subcarriers, so each part is added where it lives."""
     window = pilots.window
-    if plan is None:
-        plan = slot_plan(cfg, window)
-
     active = np.flatnonzero(channels.user_energies() > 0)
     data_amp = np.sqrt(1.0 - cfg.alpha)
 

@@ -33,7 +33,6 @@ class RecoveryResult:
     residual_norm: float             # ||A h_hat - y||
     iterations: int
     converged: bool
-    rank_deficient: bool = False
     history: list = field(default_factory=list)  # (iteration, residual, nnz)
 
 
@@ -54,15 +53,14 @@ def _top(magnitudes: np.ndarray, count: int) -> np.ndarray:
 
 
 def _result(op, h, y, iterations, converged, history=None,
-            rank_deficient=False, residual=None) -> RecoveryResult:
+            residual=None) -> RecoveryResult:
     """The result for iterate h; `residual`, when the solver already holds
     ||A h - y||, saves the closing apply."""
     if residual is None:
         residual = float(np.linalg.norm(op.apply(h) - y))
     return RecoveryResult(h_hat=h, user_energies=_energies(h, op.u_max, op.t_cp),
                           residual_norm=residual, iterations=iterations,
-                          converged=converged, rank_deficient=rank_deficient,
-                          history=history or [])
+                          converged=converged, history=history or [])
 
 
 # ---------------------------------------------------------------------------
@@ -74,22 +72,21 @@ def _merged_fit(op, y: np.ndarray, merged: np.ndarray, k: int):
     gather B = op.columns(merged) and its Gram B^H B: the pruned refit
     reads the Gram's k x k block. A Gram whose Cholesky does not certify
     its conditioning goes to restricted_lstsq. Returns (pruned support,
-    its coefficients, rank_deficient, residual); the gather is released
-    on return, before the next iteration's."""
+    its coefficients, residual); the gather is released on return, before
+    the next iteration's."""
     cols = op.columns(merged)
     cols_h = np.conj(cols.T)
     gram, rhs = cols_h @ cols, cols_h @ y
     del cols_h
     z = gram_solve(gram, rhs)
     if z is None:
-        z = restricted_lstsq(op, y, merged)[0][merged]
+        z = restricted_lstsq(op, y, merged)[merged]
     keep = _top(np.abs(z), k)
     support = merged[keep]
-    coef, flagged = gram_solve(gram[np.ix_(keep, keep)], rhs[keep]), False
+    coef = gram_solve(gram[np.ix_(keep, keep)], rhs[keep])
     if coef is None:
-        full, flagged = restricted_lstsq(op, y, support)
-        coef = full[support]
-    return support, coef, flagged, y - cols[:, keep] @ coef
+        coef = restricted_lstsq(op, y, support)[support]
+    return support, coef, y - cols[:, keep] @ coef
 
 
 COSAMP_MAX_ITER = 50
@@ -100,14 +97,13 @@ def cosamp(op, y: np.ndarray, k: int) -> RecoveryResult:
     to the k largest merged coefficients, refit on the pruned support. Both
     fits solve the normal equations of one gather per iteration by a
     certified Cholesky (`sensing.gram_solve`), with `restricted_lstsq`
-    (SVD, minimum norm) as the fallback; rank_deficient reports the final
-    refit. Stops on residual <= 1e-12 ||y||, stagnation (relative change
-    < 1e-6), or COSAMP_MAX_ITER iterations; the first test ends a
-    noiseless recovery at its first exact iterate, past which the stopping
-    tests would compare round-off. A step that would increase the residual
-    is rolled back, so the logged residuals are non-increasing; the
-    reported residual_norm is the final fit's, with no closing apply.
-    Output is at most k-sparse. The merged support holds up to min(3k, N)
+    (SVD, minimum norm) as the fallback. Stops on residual <= 1e-12 ||y||,
+    stagnation (relative change < 1e-6), or COSAMP_MAX_ITER iterations;
+    the first test ends a noiseless recovery at its first exact iterate,
+    past which the stopping tests would compare round-off. A step that
+    would increase the residual is rolled back, so the logged residuals
+    are non-increasing; the reported residual_norm is the final fit's,
+    with no closing apply. Output is at most k-sparse. The merged support holds up to min(3k, N)
     columns, which must fit the m measurements."""
     y = np.asarray(y, dtype=complex)
     if not np.all(np.isfinite(y)):
@@ -119,7 +115,6 @@ def cosamp(op, y: np.ndarray, k: int) -> RecoveryResult:
 
     h = np.zeros(n_cols, dtype=complex)
     support = np.array([], dtype=int)
-    flagged = False
     residual = y
     res_norm = float(np.linalg.norm(residual))
     history = [(0, res_norm, 0)]
@@ -130,7 +125,7 @@ def cosamp(op, y: np.ndarray, k: int) -> RecoveryResult:
         it += 1
         proxy = op.adjoint(residual)
         merged = np.union1d(_top(np.abs(proxy), 2 * k), support)
-        new_support, coef, new_flag, res_new = _merged_fit(op, y, merged, k)
+        new_support, coef, res_new = _merged_fit(op, y, merged, k)
         rn = float(np.linalg.norm(res_new))
         if rn > res_norm * (1.0 + 1e-9):
             converged = True          # stagnated: keep the better iterate
@@ -138,12 +133,11 @@ def cosamp(op, y: np.ndarray, k: int) -> RecoveryResult:
         rel_change = abs(res_norm - rn) / max(res_norm, 1e-300)
         h = np.zeros(n_cols, dtype=complex)
         h[new_support] = coef
-        support, flagged, residual, res_norm = new_support, new_flag, res_new, rn
+        support, residual, res_norm = new_support, res_new, rn
         history.append((it, res_norm, int(np.count_nonzero(h))))
         if res_norm <= stop or rel_change < 1e-6:
             converged = True
-    return _result(op, h, y, it, converged, history, flagged,
-                   residual=res_norm)
+    return _result(op, h, y, it, converged, history, residual=res_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +332,5 @@ def debias(op, y: np.ndarray, result: RecoveryResult, k: int) -> RecoveryResult:
         return _result(op, np.zeros_like(result.h_hat), y, result.iterations,
                        result.converged, history=list(result.history))
     keep = nonzero[_top(mags[nonzero], k)]
-    refit, flagged = restricted_lstsq(op, y, keep)
-    return _result(op, refit, y, result.iterations, result.converged,
-                   history=list(result.history), rank_deficient=flagged)
+    return _result(op, restricted_lstsq(op, y, keep), y, result.iterations,
+                   result.converged, history=list(result.history))

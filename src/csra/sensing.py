@@ -36,18 +36,14 @@ MATERIALIZE_COL_CAP = 4096
 class SensingOperator:
     """Matrix-free compound measurement operator with exact adjoint."""
 
-    def __init__(self, pilots: PilotBook, t_cp: int):
+    def __init__(self, pilots: PilotBook):
         self.pilots = pilots
         self.window = pilots.window
         self.n = pilots.n
         self.u_max = pilots.u_max
-        self.t_cp = t_cp
-        self.m = len(self.window)
-        if pilots.block.shape != (t_cp, self.m):
-            raise ValueError(f"pilot book block has shape {pilots.block.shape}, "
-                             f"expected ({t_cp}, {self.m})")
-        # the block both GEMMs and columns() share
+        # the block both GEMMs and columns() share, one row per delay
         self._block = pilots.block
+        self.t_cp, self.m = pilots.block.shape
 
     @property
     def shape(self):
@@ -91,13 +87,11 @@ class SensingOperator:
         pilots = replace(self.pilots,
                          window_values=self.pilots.window_values.astype(np.complex64),
                          block=self._block.astype(np.complex64))
-        return SensingOperator(pilots, self.t_cp)
+        return SensingOperator(pilots)
 
     def columns(self, support) -> np.ndarray:
         """Dense m x |support| submatrix for the given compound indices."""
         support = np.asarray(support, dtype=int)
-        if support.size == 0:
-            return np.zeros((self.m, 0), dtype=complex)
         users, delays = np.divmod(support, self.t_cp)
         # contiguous rows of D, scaled in place, pilot factor first: numpy's
         # complex multiply is not bitwise commutative, and this keeps the
@@ -157,7 +151,7 @@ def build_operator(cfg: SystemConfig,
                    pilots: PilotBook | None = None) -> SensingOperator:
     if pilots is None:
         pilots = build_pilot_book(cfg)
-    return SensingOperator(pilots, cfg.t_cp)
+    return SensingOperator(pilots)
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +209,20 @@ def gram_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return np.conj(inv.T) @ (inv @ rhs)
 
 
-def restricted_lstsq(op, y: np.ndarray, support) -> tuple[np.ndarray, bool]:
-    """Least-squares fit of y on the columns in `support`, zero elsewhere.
-
-    Returns (full-size solution, rank_deficient). A rank-deficient submatrix
-    yields the minimum-norm solution and sets the flag.
-    """
+def restricted_lstsq(op, y: np.ndarray, support) -> np.ndarray:
+    """Least-squares fit of y on the columns in `support`, zero elsewhere:
+    the full-size solution. A rank-deficient submatrix yields the
+    minimum-norm solution."""
     support = np.asarray(support, dtype=int)
     if support.size > op.shape[0]:
         raise ValueError("support larger than the measurement dimension")
     full = np.zeros(op.shape[1], dtype=complex)
     if support.size == 0:
-        return full, False
+        return full
     sub = op.columns(support)
-    z, _, rank, _ = np.linalg.lstsq(sub, np.asarray(y, dtype=complex), rcond=None)
-    full[support] = z
-    return full, bool(rank < support.size)
+    full[support] = np.linalg.lstsq(sub, np.asarray(y, dtype=complex),
+                                    rcond=None)[0]
+    return full
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +231,8 @@ def restricted_lstsq(op, y: np.ndarray, support) -> tuple[np.ndarray, bool]:
 
 @dataclass(frozen=True)
 class RipReport:
-    k: int
     delta_k: float
     support: tuple          # argmax column set
-    scale: float            # global column scaling applied before evaluation
 
 MAX_RIP_COLUMNS = 24
 MAX_RIP_ORDER = 4
@@ -252,9 +242,9 @@ def rip_constant_exact(dense: np.ndarray, k: int) -> RipReport:
     """Exact RIP constant of a dense matrix by exhausting all k-supports.
 
     The matrix is first rescaled by a single global factor so the average
-    column norm is 1 (the RIP inequality compares ||Ax||^2 against ||x||^2);
-    the factor is reported. delta_k = max over supports of
-    max(lambda_max - 1, 1 - lambda_min) of the submatrix Gram spectrum.
+    column norm is 1 (the RIP inequality compares ||Ax||^2 against ||x||^2).
+    delta_k = max over supports of max(lambda_max - 1, 1 - lambda_min) of
+    the submatrix Gram spectrum.
     """
     dense = np.asarray(dense, dtype=complex)
     n_cols = dense.shape[1]
@@ -278,8 +268,7 @@ def rip_constant_exact(dense: np.ndarray, k: int) -> RipReport:
         if dev > best:
             best = dev
             best_support = support
-    return RipReport(k=k, delta_k=float(best), support=best_support,
-                     scale=1.0 / mean_norm)
+    return RipReport(delta_k=float(best), support=best_support)
 
 
 def rip_sample_complexity(n: int, k: int, delta: float, mu: float,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import exp1
 
-from csra.config import SystemConfig, slot_plan, trial_rng
+from csra.config import (SystemConfig, desk_profile, lte_profile,
+                         slot_plan, trial_rng)
 from csra.model import channel_gains, draw_activity, draw_channels
 from csra.bounds import (FadingModel, BoundInputs, bpdn_stability_constant,
                          margin_tail_integral, detection_error_bounds,
@@ -388,3 +389,14 @@ def test_noise_ball_radius_formula():
     sigma = math.sqrt(cfg.sigma2)
     expected = sigma * math.sqrt(64 + 2 * math.sqrt(64 * math.log(10.0)))
     assert noise_ball_radius(cfg) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("profile, m, miss", [
+    (desk_profile, 256, 1.974057480290e-3), (lte_profile, 839, 1.607928960795e-3)])
+def test_noise_ball_radius_miss_probability(profile, m, miss):
+    """The exact probability that the window noise norm exceeds the radius:
+    P(Gamma(m, 1) > r^2 / sigma^2), with r^2 / sigma^2 = m + 2 sqrt(m ln 10)."""
+    cfg = profile()
+    assert cfg.m == m
+    x = noise_ball_radius(cfg) ** 2 / cfg.sigma2
+    assert 1.0 - _erlang_cdf(m, x) == pytest.approx(miss, rel=1e-6)

@@ -253,8 +253,8 @@ class TestTrials:
         assert len(serial) == len(parallel) == n_trials
         # everything but the wall time; assert_equal takes NaN == NaN
         same = lambda r: [r.trial_index, asdict(r.metrics), r.user_energies,
-                          r.active, r.residual_norm, r.solver_iterations,
-                          r.solver_converged, r.history]
+                          r.active, r.solver_iterations, r.solver_converged,
+                          r.history]
         for a, b in zip(serial, parallel):
             np.testing.assert_equal(same(a), same(b))
 
@@ -399,6 +399,22 @@ class TestCsvEmission:
             traces.append({p.name: p.read_bytes() for p in diag.iterdir()})
         assert tables[0] == tables[1]
         assert len(traces[0]) == 6 and traces[0] == traces[1]
+
+    def test_desk_bpdn_pins_hold_under_a_second_blas_kernel(self, tmp_path):
+        """The desk-bpdn table and trace digests with OpenBLAS forced to
+        its Haswell kernels in the child process."""
+        if not numpy_on_openblas():
+            pytest.skip("numpy is not built on OpenBLAS")
+        argv, digest = self.RUN_DIGESTS["desk-bpdn"]
+        out, diag = tmp_path / "run.csv", tmp_path / "diag"
+        proc = subprocess.run(
+            [sys.executable, "-m", "csra.cli", *argv, "--out", str(out),
+             "--diagnostics", str(diag)],
+            env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"),
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert self.trace_digest(diag) == self.TRACE_DIGESTS["desk-bpdn"]
 
     def test_link_csv_nan_sentinel(self, tmp_path):
         cfg = toy_cfg(k2=0, trials=2)
@@ -594,6 +610,19 @@ class TestCli:
             assert cli.main(argv + ["--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("config error: ") and message in err, err
+            assert not out.exists()
+        # usage errors too, with argparse's message in place of its exit 2;
+        # bounds takes no simulation flag
+        for argv, message in (
+                (["link-sim", "--trials", "abc", "--out", str(out)],
+                 "argument --trials: invalid int value: 'abc'"),
+                (["link-sim", "--bogus", "1", "--out", str(out)],
+                 "unrecognized arguments: --bogus 1"),
+                ([], "the following arguments are required: command"),
+                (["bounds", "--seed", "3", "--out", str(out)],
+                 "unrecognized arguments: --seed 3")):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == f"config error: {message}\n"
             assert not out.exists()
 
     @pytest.mark.parametrize("command", ["link-sim", "roc"])

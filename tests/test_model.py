@@ -192,7 +192,8 @@ class TestTransmitReceive:
         act = draw_activity(cfg, rng)
         ch = draw_channels(cfg, act, rng)
         data = draw_data(cfg, act, rng)
-        frame = transmit_receive(cfg, build_pilot_book(cfg), data, ch, rng)
+        frame = transmit_receive(cfg, build_pilot_book(cfg), data, ch, rng,
+                                 plan=slot_plan(cfg))
         assert np.all(frame.y_freq == 0)
 
     def test_unit_tap_identity_channel(self):
@@ -296,7 +297,8 @@ class TestTransmitReceive:
             act = draw_activity(cfg, rng)
             ch = draw_channels(cfg, act, rng)
             data = draw_data(cfg, act, rng)
-            return transmit_receive(cfg, build_pilot_book(cfg), data, ch, rng)
+            return transmit_receive(cfg, build_pilot_book(cfg), data, ch, rng,
+                                    plan=slot_plan(cfg))
         a, b = frame(), frame()
         assert np.array_equal(a.y_freq, b.y_freq)
         assert np.array_equal(a.y_window, b.y_window)

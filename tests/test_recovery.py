@@ -188,7 +188,6 @@ def test_cosamp_matches_two_solve_reference(problem):
     assert np.array_equal(np.flatnonzero(rec.h_hat), np.flatnonzero(h_ref))
     assert (rec.iterations, rec.converged) == (it_ref, conv_ref)
     assert np.linalg.norm(rec.h_hat - h_ref) <= 1e-10 * max(np.linalg.norm(h_ref), 1e-300)
-    assert not rec.rank_deficient
 
 
 @settings(max_examples=80, deadline=None)
@@ -207,7 +206,7 @@ def test_cosamp_residual_is_the_final_fits(problem):
     assert rec.residual_norm == rec.history[-1][1]
 
 
-def test_cosamp_reports_rank_deficient_refit():
+def test_cosamp_rank_deficient_refit_takes_minimum_norm():
     """Twin columns both survive the prune; the final refit on them is
     rank deficient and takes the minimum-norm split."""
     rng = np.random.default_rng(8)
@@ -215,7 +214,6 @@ def test_cosamp_reports_rank_deficient_refit():
     mat[:, 4] = mat[:, 1]
     y = mat[:, 1] * 2.0
     rec = cosamp(DenseOperator(mat), y, k=2)
-    assert rec.rank_deficient
     assert np.allclose(rec.h_hat[[1, 4]], [1.0, 1.0], atol=1e-10)
     assert rec.residual_norm <= 1e-10
 

@@ -125,8 +125,7 @@ def operators(draw):
     values = np.sqrt(n * alpha / m) * np.exp(
         2j * np.pi * rng.uniform(size=(u_max, m)))
     op = SensingOperator(PilotBook(n=n, window=window, window_values=values,
-                                   block=delay_block(window, t_cp, n)),
-                         t_cp)
+                                   block=delay_block(window, t_cp, n)))
     return op, rng
 
 
@@ -169,7 +168,7 @@ def test_operator_matches_fft_formulas(case):
 class TestMaterialize:
     def test_column_cap(self, monkeypatch):
         cfg = toy_cfg()
-        op = SensingOperator(build_pilot_book(cfg), cfg.t_cp)
+        op = SensingOperator(build_pilot_book(cfg))
         monkeypatch.setattr(sensing, "MATERIALIZE_COL_CAP", 16)
         with pytest.raises(ValueError):
             op.materialize()
@@ -197,32 +196,30 @@ class TestMaterialize:
 
 class TestRestrictedLstsq:
     def test_empty_support(self, toy_op):
-        z, flagged = restricted_lstsq(toy_op, np.zeros(toy_op.shape[0]), [])
-        assert np.all(z == 0) and not flagged
+        z = restricted_lstsq(toy_op, np.zeros(toy_op.shape[0]), [])
+        assert np.all(z == 0)
 
     def test_consistent_system_recovers(self, toy_op):
         rng = np.random.default_rng(14)
         support = np.sort(rng.choice(toy_op.shape[1], 6, replace=False))
         h = np.zeros(toy_op.shape[1], dtype=complex)
         h[support] = random_vec(rng, 6)
-        z, flagged = restricted_lstsq(toy_op, toy_op.apply(h), support)
-        assert not flagged
+        z = restricted_lstsq(toy_op, toy_op.apply(h), support)
         assert np.linalg.norm(z - h) <= 1e-8
 
     def test_residual_orthogonal_to_columns(self, toy_op):
         rng = np.random.default_rng(15)
         support = np.sort(rng.choice(toy_op.shape[1], 10, replace=False))
         y = random_vec(rng, toy_op.shape[0])
-        z, _ = restricted_lstsq(toy_op, y, support)
+        z = restricted_lstsq(toy_op, y, support)
         residual = y - toy_op.columns(support) @ z[support]
         inner = toy_op.columns(support).conj().T @ residual
         assert np.max(np.abs(inner)) <= 1e-8
 
-    def test_rank_deficient_flagged(self):
+    def test_rank_deficient_takes_minimum_norm(self):
         col = np.array([[1.0], [2.0]])
         op = DenseOperator(np.hstack([col, col]))
-        z, flagged = restricted_lstsq(op, np.array([1.0, 2.0]), [0, 1])
-        assert flagged
+        z = restricted_lstsq(op, np.array([1.0, 2.0]), [0, 1])
         # minimum-norm solution splits the coefficient across the twin columns
         assert np.allclose(z, [0.5, 0.5], atol=1e-12)
 
@@ -235,22 +232,20 @@ class TestRestrictedLstsq:
 def certified_or_lstsq(op, y, support):
     """The fit cosamp makes on a gather: the certified Gram solve, or
     restricted_lstsq where the certificate fails. Returns (solution,
-    rank_deficient, certified)."""
+    certified)."""
     sub = op.columns(support)
     z = gram_solve(sub.conj().T @ sub, sub.conj().T @ y)
     if z is None:
-        full, flagged = restricted_lstsq(op, y, support)
-        return full[support], flagged, False
-    return z, False, True
+        return restricted_lstsq(op, y, support)[support], False
+    return z, True
 
 
 def assert_matches_lstsq(op, y, support):
-    """The fit above equals numpy's SVD lstsq within 1e-10 relative and
-    sets the rank flag as lstsq's rank test does; returns `certified`."""
-    got, flagged, certified = certified_or_lstsq(op, y, support)
-    ref, _, rank, _ = np.linalg.lstsq(op.columns(support), y.astype(complex),
-                                      rcond=None)
-    assert flagged == bool(rank < len(support))
+    """The fit above equals numpy's SVD lstsq within 1e-10 relative;
+    returns `certified`."""
+    got, certified = certified_or_lstsq(op, y, support)
+    ref = np.linalg.lstsq(op.columns(support), y.astype(complex),
+                          rcond=None)[0]
     assert np.linalg.norm(got - ref) <= 1e-10 * max(np.linalg.norm(ref), 1e-300)
     return certified
 
@@ -337,13 +332,13 @@ def test_gram_solve_properties_hold_with_the_blocked_inverse(case, log_gap,
                              np.append(support, near_twin.shape[1] - 1))
 
 
-def test_zero_operator_flags_rank_deficient():
+def test_zero_operator_fits_zero():
     with pytest.warns(UserWarning):
         op = build_operator(toy_cfg(alpha=0.0))
     y = random_vec(np.random.default_rng(3), op.shape[0])
     support = np.arange(0, op.shape[1], 7)
-    z, flagged = restricted_lstsq(op, y, support)
-    assert flagged and np.all(z == 0)
+    z = restricted_lstsq(op, y, support)
+    assert np.all(z == 0)
     assert not assert_matches_lstsq(op, y, support)
 
 
