@@ -21,17 +21,19 @@ print(f"scenario: n={cfg.n}, window m={cfg.m} ({cfg.window_mode}), "
 
 rng = trial_rng(cfg, trial_index=0)
 pilots = build_pilot_book(cfg)
-plan = slot_plan(cfg)
+plan = slot_plan(cfg)    # row u: user u's payload subcarriers, (u_max, symbols_per_user)
 op = build_operator(cfg, pilots=pilots)
 
-activity = draw_activity(cfg, rng)
-channels = draw_channels(cfg, activity, rng)
-print(f"\nactive users: {activity.active.tolist()}")
+active = draw_activity(cfg, rng)          # sorted user indices, (k2,)
+taps = draw_channels(cfg, active, rng)    # one row of taps per user, (u_max, t_cp)
+print(f"\nactive users: {active.tolist()}")
 print("true channel energies:",
-      np.round(channels.user_energies()[activity.active], 3).tolist())
+      np.round(np.sum(np.abs(taps[active]) ** 2, axis=1), 3).tolist())
 
-data = draw_data(cfg, activity, rng)
-frame = transmit_receive(cfg, pilots, data, channels, rng, plan=plan)
+bits = draw_data(cfg, active, rng)        # payload bits, (u_max, bits_per_user)
+print(f"user {active[0]} sends its {cfg.bits_per_user} bits on subcarriers "
+      f"{plan[active[0]].min()}-{plan[active[0]].max()}")
+frame = transmit_receive(cfg, pilots, bits, taps, rng, plan=plan)
 print(f"\nreceived frame: ||y_window|| = {np.linalg.norm(frame.y_window):.2f}, "
       f"window noise norm = {frame.noise_window_norm:.3f}")
 
@@ -41,15 +43,15 @@ print(f"\nbasis pursuit denoising: eps = {eps:.3f}, "
       f"{rec.iterations} iterations, residual = {rec.residual_norm:.3f}, "
       f"converged = {rec.converged}")
 print("estimated energies (active):",
-      np.round(rec.user_energies[activity.active], 3).tolist())
-inactive = np.setdiff1d(np.arange(cfg.u_max), activity.active)
+      np.round(rec.user_energies[active], 3).tolist())
+inactive = np.setdiff1d(np.arange(cfg.u_max), active)
 print(f"largest inactive energy: {rec.user_energies[inactive].max():.2e}")
 
 detected = detect_active(rec.user_energies, cfg.xi_thr)
 rx_bits, n_erased = equalize_demodulate(frame.y_freq, rec.h_hat, plan,
                                         detected, cfg.modulation)
-metrics = tally(activity.active, detected, data.bits, rx_bits,
-                cfg.modulation, n_erased=n_erased)
+metrics = tally(active, detected, bits, rx_bits, cfg.modulation,
+                n_erased=n_erased)
 print(f"\ndetection at xi_thr={cfg.xi_thr}: {len(detected)} users, "
       f"missed={metrics.n_md}, false alarms={metrics.n_fa}")
 print(f"symbol error rate over the {cfg.k2 * cfg.symbols_per_user} "

@@ -1,10 +1,9 @@
 """One-shot compressive random access: link simulator and bound evaluators."""
 
-from .config import (SystemConfig, SlotPlan, ConfigError, control_window,
-                     slot_plan, scenario_rng, trial_rng, read_config,
-                     write_config, config_hash, desk_profile, lte_profile)
-from .model import (PilotBook, ActivityPattern, ChannelProfile, UserData,
-                    FrameSignals, build_pilot_book, draw_activity,
+from .config import (SystemConfig, ConfigError, control_window, slot_plan,
+                     scenario_rng, trial_rng, read_config, write_config,
+                     config_hash, desk_profile, lte_profile)
+from .model import (PilotBook, FrameSignals, build_pilot_book, draw_activity,
                     draw_channels, draw_data, bits_to_symbols,
                     transmit_receive)
 from .sensing import (SensingOperator, DenseOperator, RipReport,

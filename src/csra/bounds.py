@@ -393,10 +393,10 @@ def simulated_ergodic_rate(cfg: SystemConfig, trials: int,
     total_active = 0
     for t in range(trials):
         rng = trial_rng(cfg, t)
-        activity = draw_activity(cfg, rng)
-        channels = draw_channels(cfg, activity, rng)
-        data = draw_data(cfg, activity, rng)
-        frame = transmit_receive(cfg, pilots, data, channels, rng, plan=plan)
+        active = draw_activity(cfg, rng)
+        taps = draw_channels(cfg, active, rng)
+        bits = draw_data(cfg, active, rng)
+        frame = transmit_receive(cfg, pilots, bits, taps, rng, plan=plan)
         if cfg.solver == "cosamp":
             rec = cosamp(op, frame.y_window, k=max(cfg.k1 * cfg.k2, 1))
         else:
@@ -404,14 +404,13 @@ def simulated_ergodic_rate(cfg: SystemConfig, trials: int,
         detected = detect_active(rec.user_energies, cfg.xi_thr)
 
         rates = []
-        for u in activity.active:
+        for u in active:
             total_active += 1
             if u not in detected:
                 missed += 1
                 rates.append(0.0)
                 continue
-            g = channel_gains(channels.per_user(u), plan.user_subcarriers(u),
-                              cfg.n)
+            g = channel_gains(taps[u], plan[u], cfg.n)
             sinr = (1.0 - cfg.alpha) * np.abs(g) ** 2 / (cfg.sigma2 + q_cert)
             rates.append(float(np.mean(np.log1p(sinr))))
         per_trial[t] = float(np.mean(rates))

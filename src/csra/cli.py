@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: link-sim, roc, bounds, throughput, validate.
-Exit codes: 0 ok, 1 config or usage error, 2 validation failure, 3 I/O
-error.
+Exit codes: 0 ok, 1 config or usage error (a scenario too large to
+allocate included), 2 validation failure, 3 I/O error.
 """
 
 import argparse
@@ -123,7 +123,7 @@ def _report_run(command: str, traces: dict, directory: Path | None) -> None:
 def main(argv=None) -> int:
     try:
         return _dispatch(_build_parser().parse_args(argv))
-    except ConfigError as exc:
+    except (ConfigError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

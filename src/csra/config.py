@@ -159,43 +159,25 @@ def control_window(cfg: SystemConfig) -> np.ndarray:
     return np.sort(rng.choice(cfg.n, size=cfg.m, replace=False))
 
 
-@dataclass(frozen=True)
-class SlotPlan:
-    """Data-slot geometry: which subcarriers carry which user's payload.
+def slot_plan(cfg: SystemConfig, window: np.ndarray | None = None) -> np.ndarray:
+    """Data-slot geometry: the u_max x symbols_per_user table whose row u
+    lists the subcarriers carrying user u's payload symbols, in order.
 
     Slots are disjoint contiguous chunks of the non-control subcarriers;
     user u maps to slot (u mod b_slots) and occupies the first
     symbols_per_user subcarriers of that slot. With b_slots >= u_max every
-    user has a dedicated slot; smaller b_slots makes simultaneous
-    transmissions in a shared slot collide, which this simulator does not
-    resolve (collision accounting lives in the throughput formula).
+    user has a dedicated slot; smaller b_slots repeats rows, and
+    simultaneous transmissions in a shared slot collide, which this
+    simulator does not resolve (collision accounting lives in the
+    throughput formula).
     """
-
-    n: int
-    u_max: int
-    symbols_per_user: int
-    slot_starts: np.ndarray          # index into data_indices, per slot
-    data_indices: np.ndarray         # all non-control subcarriers, sorted
-
-    def slot_of_user(self, u: int) -> int:
-        return u % len(self.slot_starts)
-
-    def user_subcarriers(self, u: int) -> np.ndarray:
-        """Subcarrier indices carrying user u's payload symbols (in order)."""
-        s = self.slot_starts[self.slot_of_user(u)]
-        return self.data_indices[s:s + self.symbols_per_user]
-
-
-def slot_plan(cfg: SystemConfig, window: np.ndarray | None = None) -> SlotPlan:
     if window is None:
         window = control_window(cfg)
     in_window = np.zeros(cfg.n, dtype=bool)
     in_window[window] = True
     data_indices = np.flatnonzero(~in_window)
-    size = len(data_indices) // cfg.b_slots
-    starts = np.arange(cfg.b_slots) * size
-    return SlotPlan(n=cfg.n, u_max=cfg.u_max, symbols_per_user=cfg.symbols_per_user,
-                    slot_starts=starts, data_indices=data_indices)
+    starts = (np.arange(cfg.u_max) % cfg.b_slots) * (len(data_indices) // cfg.b_slots)
+    return data_indices[starts[:, None] + np.arange(cfg.symbols_per_user)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MODULATIONS, SlotPlan
+from .config import MODULATIONS
 from .model import channel_gains
 
 ERASED = -1   # sentinel bit value for symbols with no usable decision
@@ -43,25 +43,26 @@ def hard_decisions(symbols: np.ndarray, modulation: str) -> np.ndarray:
     raise ValueError(f"unknown modulation {modulation!r}")
 
 
-def equalize_demodulate(y_freq: np.ndarray, h_hat: np.ndarray, plan: SlotPlan,
+def equalize_demodulate(y_freq: np.ndarray, h_hat: np.ndarray, plan: np.ndarray,
                         detected: np.ndarray, modulation: str):
     """Single-tap matched-filter equalization on each detected user's slot.
 
-    Per subcarrier the symbol estimate is y(f) conj(g) / |g|^2 with
-    g = sqrt(n) h_hat_u(f) from the estimated taps; estimation error is left
-    as residual interference. Subcarriers with |g| below 1e-12 produce
+    plan is the u_max x symbols_per_user slot table (`config.slot_plan`)
+    and h_hat the compound channel estimate of u_max * t_cp taps; n is
+    len(y_freq). Per subcarrier the symbol estimate is y(f) conj(g) / |g|^2
+    with g = sqrt(n) h_hat_u(f) from the estimated taps; estimation error is
+    left as residual interference. Subcarriers with |g| below 1e-12 produce
     erased symbols (all bits ERASED). Returns (bits, n_erased); rows of
     non-detected users stay ERASED throughout.
     """
     bps = MODULATIONS[modulation]
-    n_sym = plan.symbols_per_user
-    t_cp = len(h_hat) // plan.u_max
-    bits = np.full((plan.u_max, n_sym * bps), ERASED, dtype=np.int8)
+    u_max, n_sym = plan.shape
+    taps = h_hat.reshape(u_max, -1)
+    bits = np.full((u_max, n_sym * bps), ERASED, dtype=np.int8)
     n_erased = 0
     for u in np.asarray(detected, dtype=int):
-        taps = h_hat[u * t_cp:(u + 1) * t_cp]
-        subs = plan.user_subcarriers(u)
-        g = channel_gains(taps, subs, plan.n)
+        subs = plan[u]
+        g = channel_gains(taps[u], subs, len(y_freq))
         usable = np.abs(g) >= 1e-12
         n_erased += int(np.sum(~usable))
         est = np.zeros(n_sym, dtype=complex)

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import (ConfigError, SystemConfig, SlotPlan, WINDOW_MODES,
-                     config_hash, slot_plan, trial_rng)
+from .config import (ConfigError, SystemConfig, WINDOW_MODES, config_hash,
+                     slot_plan, trial_rng)
 from .model import (build_pilot_book, channel_gains, delay_block,
                     draw_activity, draw_channels, draw_data, transmit_receive)
 from .sensing import (SensingOperator, DenseOperator, build_operator,
@@ -65,7 +65,7 @@ class TrialRecord:
 class Scenario:
     """Scenario-level state shared by all trials of one config."""
 
-    plan: SlotPlan
+    plan: np.ndarray          # (u_max, symbols_per_user), config.slot_plan
     op: SensingOperator       # holds the window and pilots
     eps: float
 
@@ -78,21 +78,19 @@ def make_scenario(cfg: SystemConfig) -> Scenario:
 
 
 def run_trial(cfg: SystemConfig, trial_index: int,
-              scenario: Scenario | None = None) -> TrialRecord:
+              scenario: Scenario) -> TrialRecord:
     """Full chain for one trial: activity -> channels -> data -> frame ->
     recovery -> detection -> demodulation -> tally. Deterministic per
     (cfg.seed, trial_index); solver non-convergence is recorded, never
     dropped."""
-    if scenario is None:
-        scenario = make_scenario(cfg)
     marks = [time.perf_counter()]
     rng = trial_rng(cfg, trial_index)
-    activity = draw_activity(cfg, rng)
-    channels = draw_channels(cfg, activity, rng)
-    data = draw_data(cfg, activity, rng)
+    active = draw_activity(cfg, rng)
+    taps = draw_channels(cfg, active, rng)
+    bits = draw_data(cfg, active, rng)
     marks.append(time.perf_counter())
     op = scenario.op
-    frame = transmit_receive(cfg, op.pilots, data, channels, rng,
+    frame = transmit_receive(cfg, op.pilots, bits, taps, rng,
                              plan=scenario.plan)
     marks.append(time.perf_counter())
     discarded = False
@@ -106,11 +104,11 @@ def run_trial(cfg: SystemConfig, trial_index: int,
     rx_bits, n_erased = equalize_demodulate(frame.y_freq, rec.h_hat,
                                             scenario.plan, detected,
                                             cfg.modulation)
-    metrics = tally(activity.active, detected, data.bits, rx_bits,
-                    cfg.modulation, n_erased=n_erased, discarded=discarded)
+    metrics = tally(active, detected, bits, rx_bits, cfg.modulation,
+                    n_erased=n_erased, discarded=discarded)
     marks.append(time.perf_counter())
     return TrialRecord(trial_index=trial_index, metrics=metrics,
-                       user_energies=rec.user_energies, active=activity.active,
+                       user_energies=rec.user_energies, active=active,
                        solver_iterations=rec.iterations,
                        solver_converged=rec.converged, history=rec.history,
                        stage_seconds=np.diff(marks))

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (SystemConfig, SlotPlan, control_window, scenario_rng,
-                     PILOT_STREAM)
+from .config import SystemConfig, control_window, scenario_rng, PILOT_STREAM
 
 
 # ---------------------------------------------------------------------------
@@ -95,41 +94,6 @@ class PilotBook:
 
 
 @dataclass(frozen=True)
-class ActivityPattern:
-    """Set of active user indices (0-based, sorted)."""
-
-    active: np.ndarray
-
-
-@dataclass(frozen=True)
-class ChannelProfile:
-    """Compound sparse channel h = [h_1^T ... h_U^T]^T, h_u in C^{t_cp}."""
-
-    compound: np.ndarray      # (u_max * t_cp,)
-    u_max: int
-    t_cp: int
-
-    def per_user(self, u: int) -> np.ndarray:
-        return self.compound[u * self.t_cp:(u + 1) * self.t_cp]
-
-    def user_energies(self) -> np.ndarray:
-        h = self.compound.reshape(self.u_max, self.t_cp)
-        return np.sum(np.abs(h) ** 2, axis=1)
-
-
-@dataclass(frozen=True)
-class UserData:
-    """Payload bits and unit-power constellation symbols per user.
-
-    Inactive users carry all-zero rows; symbols here are unscaled (the
-    (1-alpha) power split is applied when embedding into the frame).
-    """
-
-    bits: np.ndarray          # (u_max, bits_per_user) int8
-    symbols: np.ndarray       # (u_max, symbols_per_user) complex
-
-
-@dataclass(frozen=True)
 class FrameSignals:
     """One received frame in the frequency domain."""
 
@@ -156,24 +120,25 @@ def build_pilot_book(cfg: SystemConfig) -> PilotBook:
                      block=delay_block(window, cfg.t_cp, cfg.n))
 
 
-def draw_activity(cfg: SystemConfig, rng: np.random.Generator) -> ActivityPattern:
-    """Uniformly random k2-subset of the u_max users."""
-    active = np.sort(rng.choice(cfg.u_max, size=cfg.k2, replace=False))
-    return ActivityPattern(active=active)
+def draw_activity(cfg: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """The sorted indices of the active users, shape (k2,): a uniformly
+    random k2-subset of the u_max users."""
+    return np.sort(rng.choice(cfg.u_max, size=cfg.k2, replace=False))
 
 
-def draw_channels(cfg: SystemConfig, activity: ActivityPattern,
-                  rng: np.random.Generator) -> ChannelProfile:
-    """k1 distinct uniform delays in [0, t_cp) per active user, i.i.d.
-    circular-symmetric Gaussian gains with per-tap variance 1/k1, so
-    E||h_u||^2 = 1 for active users. Inactive users are all-zero."""
-    compound = np.zeros(cfg.u_max * cfg.t_cp, dtype=complex)
+def draw_channels(cfg: SystemConfig, active: np.ndarray,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The u_max x t_cp taps, row u user u's, so taps.reshape(-1) is the
+    compound h the operator acts on: k1 distinct uniform delays in [0, t_cp)
+    per active user, i.i.d. circular-symmetric Gaussian gains with per-tap
+    variance 1/k1, so E||h_u||^2 = 1; inactive users' rows are zero."""
+    taps = np.zeros((cfg.u_max, cfg.t_cp), dtype=complex)
     scale = np.sqrt(1.0 / (2.0 * cfg.k1))
-    for u in activity.active:
+    for u in active:
         delays = rng.choice(cfg.t_cp, size=cfg.k1, replace=False)
         gains = scale * (rng.standard_normal(cfg.k1) + 1j * rng.standard_normal(cfg.k1))
-        compound[u * cfg.t_cp + delays] = gains
-    return ChannelProfile(compound=compound, u_max=cfg.u_max, t_cp=cfg.t_cp)
+        taps[u, delays] = gains
+    return taps
 
 
 def bits_to_symbols(bits: np.ndarray, modulation: str) -> np.ndarray:
@@ -188,36 +153,36 @@ def bits_to_symbols(bits: np.ndarray, modulation: str) -> np.ndarray:
     raise ValueError(f"unknown modulation {modulation!r}")
 
 
-def draw_data(cfg: SystemConfig, activity: ActivityPattern,
-              rng: np.random.Generator) -> UserData:
+def draw_data(cfg: SystemConfig, active: np.ndarray,
+              rng: np.random.Generator) -> np.ndarray:
+    """The u_max x bits_per_user int8 payload bits; inactive users' rows
+    are zero."""
     bits = np.zeros((cfg.u_max, cfg.bits_per_user), dtype=np.int8)
-    symbols = np.zeros((cfg.u_max, cfg.symbols_per_user), dtype=complex)
-    for u in activity.active:
-        b = rng.integers(0, 2, size=cfg.bits_per_user).astype(np.int8)
-        bits[u] = b
-        symbols[u] = bits_to_symbols(b, cfg.modulation)
-    return UserData(bits=bits, symbols=symbols)
+    for u in active:
+        bits[u] = rng.integers(0, 2, size=cfg.bits_per_user)
+    return bits
 
 
-def transmit_receive(cfg: SystemConfig, pilots: PilotBook, data: UserData,
-                     channels: ChannelProfile, rng: np.random.Generator,
-                     plan: SlotPlan) -> FrameSignals:
+def transmit_receive(cfg: SystemConfig, pilots: PilotBook, bits: np.ndarray,
+                     taps: np.ndarray, rng: np.random.Generator,
+                     plan: np.ndarray) -> FrameSignals:
     """Superimpose all active users through their cyclic channels, add noise,
-    and restrict y_hat to the control window, the observation P_B W y. Each
-    user's pilot (on the window) and payload (on its slot) occupy disjoint
-    subcarriers, so each part is added where it lives."""
+    and restrict y_hat to the control window, the observation P_B W y. The
+    users with nonzero tap energy transmit, each its bits' symbols on its
+    row of the slot table `plan`. Each user's pilot (on the window) and
+    payload (on its slot) occupy disjoint subcarriers, so each part is added
+    where it lives."""
     window = pilots.window
-    active = np.flatnonzero(channels.user_energies() > 0)
+    active = np.flatnonzero(np.sum(np.abs(taps) ** 2, axis=1) > 0)
     data_amp = np.sqrt(1.0 - cfg.alpha)
 
     y_clean = np.zeros(cfg.n, dtype=complex)
     for u in active:
-        taps = channels.per_user(u)
-        subs = plan.user_subcarriers(u)
-        scaled = data_amp * data.symbols[u]
-        y_clean[window] += (channel_gains(taps, window, cfg.n, pilots.block)
+        subs = plan[u]
+        scaled = data_amp * bits_to_symbols(bits[u], cfg.modulation)
+        y_clean[window] += (channel_gains(taps[u], window, cfg.n, pilots.block)
                             * pilots.window_values[u])
-        y_clean[subs] += channel_gains(taps, subs, cfg.n) * scaled
+        y_clean[subs] += channel_gains(taps[u], subs, cfg.n) * scaled
 
     noise = np.sqrt(cfg.sigma2 / 2.0) * (rng.standard_normal(cfg.n)
                                          + 1j * rng.standard_normal(cfg.n))

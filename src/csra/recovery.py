@@ -71,21 +71,22 @@ def _merged_fit(op, y: np.ndarray, merged: np.ndarray, k: int):
     """One CoSaMP estimate/prune/refit on the merged support, from one
     gather B = op.columns(merged) and its Gram B^H B: the pruned refit
     reads the Gram's k x k block. A Gram whose Cholesky does not certify
-    its conditioning goes to restricted_lstsq. Returns (pruned support,
-    its coefficients, residual); the gather is released on return, before
-    the next iteration's."""
+    its conditioning is solved by SVD least squares (minimum norm) on the
+    same gather, or on its kept columns. Returns (pruned support, its
+    coefficients, residual); the gather is released on return, before the
+    next iteration's."""
     cols = op.columns(merged)
     cols_h = np.conj(cols.T)
     gram, rhs = cols_h @ cols, cols_h @ y
     del cols_h
     z = gram_solve(gram, rhs)
     if z is None:
-        z = restricted_lstsq(op, y, merged)[merged]
+        z = np.linalg.lstsq(cols, y, rcond=None)[0]
     keep = _top(np.abs(z), k)
     support = merged[keep]
     coef = gram_solve(gram[np.ix_(keep, keep)], rhs[keep])
     if coef is None:
-        coef = restricted_lstsq(op, y, support)[support]
+        coef = np.linalg.lstsq(cols[:, keep], y, rcond=None)[0]
     return support, coef, y - cols[:, keep] @ coef
 
 
@@ -96,15 +97,16 @@ def cosamp(op, y: np.ndarray, k: int) -> RecoveryResult:
     """Standard CoSaMP: proxy top-2k merge, restricted least squares, prune
     to the k largest merged coefficients, refit on the pruned support. Both
     fits solve the normal equations of one gather per iteration by a
-    certified Cholesky (`sensing.gram_solve`), with `restricted_lstsq`
-    (SVD, minimum norm) as the fallback. Stops on residual <= 1e-12 ||y||,
-    stagnation (relative change < 1e-6), or COSAMP_MAX_ITER iterations;
-    the first test ends a noiseless recovery at its first exact iterate,
-    past which the stopping tests would compare round-off. A step that
-    would increase the residual is rolled back, so the logged residuals
-    are non-increasing; the reported residual_norm is the final fit's,
-    with no closing apply. Output is at most k-sparse. The merged support holds up to min(3k, N)
-    columns, which must fit the m measurements."""
+    certified Cholesky (`sensing.gram_solve`), with SVD least squares
+    (minimum norm) on the same gather as the fallback. Stops on residual
+    <= 1e-12 ||y||, stagnation (relative change < 1e-6), or COSAMP_MAX_ITER
+    iterations; the first test ends a noiseless recovery at its first exact
+    iterate, past which the stopping tests would compare round-off. A step
+    that would increase the residual is rolled back, so the logged
+    residuals are non-increasing; the reported residual_norm is the final
+    fit's, with no closing apply. Output is at most k-sparse. The merged
+    support holds up to min(3k, N) columns, which must fit the m
+    measurements."""
     y = np.asarray(y, dtype=complex)
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite values")

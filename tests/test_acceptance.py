@@ -106,8 +106,7 @@ def test_criterion_04_noiseless_exact_recovery(announce):
         for t in range(100):
             rng = np.random.default_rng(
                 np.random.SeedSequence(cfg.seed, spawn_key=(1, t)))
-            act = draw_activity(cfg, rng)
-            h = draw_channels(cfg, act, rng).compound
+            h = draw_channels(cfg, draw_activity(cfg, rng), rng).reshape(-1)
             y = op.apply(h)
             truth = set(np.flatnonzero(h))
             rec = cosamp(op, y, k=5)

@@ -372,12 +372,11 @@ class TestSimulatedRate:
         per_trial = np.empty(500)
         for t in range(per_trial.size):
             rng = trial_rng(cfg, t)
-            activity = draw_activity(cfg, rng)
-            channels = draw_channels(cfg, activity, rng)
+            active = draw_activity(cfg, rng)
+            taps = draw_channels(cfg, active, rng)
             per_trial[t] = np.mean([
-                np.mean(np.log1p(np.abs(channel_gains(
-                    channels.per_user(u), plan.user_subcarriers(u), cfg.n)) ** 2))
-                for u in activity.active])
+                np.mean(np.log1p(np.abs(channel_gains(taps[u], plan[u], cfg.n)) ** 2))
+                for u in active])
         anchor = FadingModel.from_taps(cfg.k1).expect_log1p(1.0)
         assert anchor == math.e * exp1(1.0)
         stderr = np.std(per_trial, ddof=1) / math.sqrt(per_trial.size)

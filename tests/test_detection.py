@@ -42,38 +42,36 @@ class TestDetect:
 class TestEqualizeDemodulate:
     def chain(self, cfg, trial=0):
         rng = trial_rng(cfg, trial)
-        act = draw_activity(cfg, rng)
-        ch = draw_channels(cfg, act, rng)
-        data = draw_data(cfg, act, rng)
+        active = draw_activity(cfg, rng)
+        taps = draw_channels(cfg, active, rng)
+        bits = draw_data(cfg, active, rng)
         pilots = build_pilot_book(cfg)
         plan = slot_plan(cfg)
-        frame = transmit_receive(cfg, pilots, data, ch, rng, plan=plan)
-        return act, ch, data, frame, plan
+        frame = transmit_receive(cfg, pilots, bits, taps, rng, plan=plan)
+        return active, taps.reshape(-1), bits, frame, plan
 
     def test_perfect_csi_noiseless_is_error_free(self):
         cfg = toy_cfg(snr_db=np.inf)
-        act, ch, data, frame, plan = self.chain(cfg)
-        bits, n_erased = equalize_demodulate(frame.y_freq, ch.compound, plan,
-                                             act.active, cfg.modulation)
-        metrics = tally(act.active, act.active, data.bits, bits, cfg.modulation)
+        active, h, tx_bits, frame, plan = self.chain(cfg)
+        bits, n_erased = equalize_demodulate(frame.y_freq, h, plan, active,
+                                             cfg.modulation)
+        metrics = tally(active, active, tx_bits, bits, cfg.modulation)
         assert metrics.ser == 0.0 and n_erased == 0
 
     def test_qpsk_perfect_csi(self):
         cfg = toy_cfg(snr_db=np.inf, modulation="qpsk")
-        act, ch, data, frame, plan = self.chain(cfg)
-        bits, _ = equalize_demodulate(frame.y_freq, ch.compound, plan,
-                                      act.active, "qpsk")
-        metrics = tally(act.active, act.active, data.bits, bits, "qpsk")
+        active, h, tx_bits, frame, plan = self.chain(cfg)
+        bits, _ = equalize_demodulate(frame.y_freq, h, plan, active, "qpsk")
+        metrics = tally(active, active, tx_bits, bits, "qpsk")
         assert metrics.ser == 0.0
 
     def test_zero_estimate_erases_everything(self):
         cfg = toy_cfg()
-        act, ch, data, frame, plan = self.chain(cfg)
-        bits, n_erased = equalize_demodulate(frame.y_freq,
-                                             np.zeros_like(ch.compound), plan,
-                                             act.active, cfg.modulation)
-        metrics = tally(act.active, act.active, data.bits, bits,
-                        cfg.modulation, n_erased=n_erased)
+        active, h, tx_bits, frame, plan = self.chain(cfg)
+        bits, n_erased = equalize_demodulate(frame.y_freq, np.zeros_like(h),
+                                             plan, active, cfg.modulation)
+        metrics = tally(active, active, tx_bits, bits, cfg.modulation,
+                        n_erased=n_erased)
         assert metrics.ser == 0.5           # pure guessing, by accounting
         assert n_erased == cfg.k2 * cfg.symbols_per_user
 

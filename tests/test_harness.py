@@ -152,14 +152,24 @@ class TestConfig:
         assert len(np.unique(rnd)) == cfg.m
         assert np.array_equal(rnd, control_window(toy_cfg(window_mode="random")))
 
-    def test_slots_disjoint_from_window(self):
-        cfg = toy_cfg()
-        win = set(control_window(cfg).tolist())
+    @pytest.mark.parametrize("b_slots", [6, 4], ids=["dedicated", "shared"])
+    def test_slots_disjoint_from_window(self, b_slots):
+        # u_max = 6 users: one slot each, or users u and u + 4 sharing one
+        cfg = toy_cfg(b_slots=b_slots)
+        window = control_window(cfg)
+        data = np.setdiff1d(np.arange(cfg.n), window)
         plan = slot_plan(cfg)
-        for u in range(cfg.u_max):
-            subs = plan.user_subcarriers(u)
-            assert len(subs) == cfg.symbols_per_user
-            assert not win & set(subs.tolist())
+        assert plan.shape == (cfg.u_max, cfg.symbols_per_user)
+        for u, row in enumerate(plan):
+            assert np.intersect1d(row, window).size == 0
+            # the first symbols_per_user subcarriers of slot u mod b_slots
+            start = (u % b_slots) * cfg.slot_size
+            assert np.array_equal(row, data[start:start + cfg.symbols_per_user])
+            if u + b_slots < cfg.u_max:
+                assert np.array_equal(row, plan[u + b_slots])
+            for v in range(u + 1, cfg.u_max):
+                if v % b_slots != u % b_slots:
+                    assert np.intersect1d(row, plan[v]).size == 0
 
     @pytest.mark.parametrize("make, digest", [
         (desk_profile, "411aeaa81fc9"), (lte_profile, "674b5fb76940"),
@@ -209,13 +219,14 @@ class TestConfig:
 class TestTrials:
     def test_deterministic_record(self):
         cfg = toy_cfg()
-        a = run_trial(cfg, 2)
-        b = run_trial(cfg, 2)
+        a = run_trial(cfg, 2, make_scenario(cfg))
+        b = run_trial(cfg, 2, make_scenario(cfg))
         assert a.metrics == b.metrics
         assert np.array_equal(a.user_energies, b.user_energies)
 
     def test_no_active_users(self):
-        rec = run_trial(toy_cfg(k2=0), 0)
+        cfg = toy_cfg(k2=0)
+        rec = run_trial(cfg, 0, make_scenario(cfg))
         assert math.isnan(rec.metrics.ser)
         assert rec.metrics.n_md == 0
 
@@ -301,7 +312,7 @@ class TestTrials:
         lte_profile(alpha=0.5)], ids=["toy-cosamp", "toy-bpdn", "toy-silent", "lte"])
     def test_plain_trial_makes_no_fft(self, monkeypatch, cfg):
         calls = count_fft_calls(monkeypatch)
-        run_trial(cfg, 1)
+        run_trial(cfg, 1, make_scenario(cfg))
         assert calls == []
 
     def test_plain_rate_estimate_makes_no_fft(self, monkeypatch):
@@ -624,6 +635,20 @@ class TestCli:
             assert cli.main(argv) == 1
             assert capsys.readouterr().err == f"config error: {message}\n"
             assert not out.exists()
+
+    def test_out_of_memory_exit_one(self, tmp_path, capsys, monkeypatch):
+        # a scenario too large to allocate, as numpy reports it; the real
+        # allocation is never attempted, since an overcommitting host may
+        # grant it and then page it in
+        message = "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"
+        def make_scenario(cfg):
+            raise MemoryError(message)
+        monkeypatch.setattr(harness, "make_scenario", make_scenario)
+        out = tmp_path / "out.csv"
+        assert cli.main(["link-sim", "--trials", "1", "--alphas", "0.5",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["link-sim", "roc"])
     @pytest.mark.parametrize("threads", ["0", "-2"])

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from csra.config import (SystemConfig, control_window, lte_profile, slot_plan,
                          trial_rng)
-from csra.model import (build_pilot_book, channel_gains, delay_block,
-                        draw_activity, draw_channels, draw_data,
+from csra.model import (bits_to_symbols, build_pilot_book, channel_gains,
+                        delay_block, draw_activity, draw_channels, draw_data,
                         transmit_receive)
 
 
@@ -63,9 +63,8 @@ class TestPilots:
 class TestActivity:
     def test_extremes(self):
         rng = np.random.default_rng(0)
-        assert draw_activity(toy_cfg(k2=0), rng).active.size == 0
-        act = draw_activity(toy_cfg(k2=8), rng)
-        assert np.array_equal(act.active, np.arange(8))
+        assert draw_activity(toy_cfg(k2=0), rng).size == 0
+        assert np.array_equal(draw_activity(toy_cfg(k2=8), rng), np.arange(8))
 
     def test_uniform_frequency(self):
         # law of large numbers: each user active with frequency k2/U
@@ -74,7 +73,7 @@ class TestActivity:
         counts = np.zeros(100)
         n_draws = 10 ** 4
         for _ in range(n_draws):
-            counts[draw_activity(cfg, rng).active] += 1
+            counts[draw_activity(cfg, rng)] += 1
         freq = counts / n_draws
         assert np.all(np.abs(freq - 0.1) <= 0.01)
 
@@ -84,12 +83,12 @@ class TestChannels:
         cfg = toy_cfg()
         rng = np.random.default_rng(1)
         empty = draw_channels(cfg, draw_activity(toy_cfg(k2=0), rng), rng)
-        assert np.all(empty.compound == 0)
-        act = draw_activity(cfg, rng)
-        ch = draw_channels(cfg, act, rng)
-        assert np.count_nonzero(ch.compound) == cfg.k1 * cfg.k2
-        for u in act.active:
-            delays = np.flatnonzero(ch.per_user(u))
+        assert empty.shape == (cfg.u_max, cfg.t_cp) and np.all(empty == 0)
+        active = draw_activity(cfg, rng)
+        taps = draw_channels(cfg, active, rng)
+        assert np.count_nonzero(taps) == cfg.k1 * cfg.k2
+        for u in active:
+            delays = np.flatnonzero(taps[u])
             assert len(delays) == cfg.k1
             assert delays.max() < cfg.t_cp
 
@@ -98,20 +97,20 @@ class TestChannels:
         cfg = SystemConfig(n=1024, m=128, t_cp=300, u_max=2, k1=6, k2=2,
                            b_slots=2, bits_per_user=16, seed=5)
         rng = np.random.default_rng(2)
-        ch = draw_channels(cfg, draw_activity(cfg, rng), rng)
+        taps = draw_channels(cfg, draw_activity(cfg, rng), rng)
         for u in range(2):
-            delays = np.flatnonzero(ch.per_user(u))
+            delays = np.flatnonzero(taps[u])
             assert delays.max() < 300
 
     def test_mean_energy(self):
         # Monte-Carlo mean of a Gamma(k1, 1/k1) energy is 1
         cfg = toy_cfg(u_max=1, k2=1, k1=4, b_slots=1)
         rng = np.random.default_rng(3)
-        act = draw_activity(cfg, rng)
+        active = draw_activity(cfg, rng)
         total = 0.0
         n_draws = 10 ** 4
         for _ in range(n_draws):
-            total += draw_channels(cfg, act, rng).user_energies()[0]
+            total += np.sum(np.abs(draw_channels(cfg, active, rng)[0]) ** 2)
         assert total / n_draws == pytest.approx(1.0, abs=0.03)
 
 
@@ -189,47 +188,45 @@ class TestTransmitReceive:
     def test_silent_frame(self):
         cfg = toy_cfg(k2=0, snr_db=np.inf)
         rng = trial_rng(cfg, 0)
-        act = draw_activity(cfg, rng)
-        ch = draw_channels(cfg, act, rng)
-        data = draw_data(cfg, act, rng)
-        frame = transmit_receive(cfg, build_pilot_book(cfg), data, ch, rng,
+        active = draw_activity(cfg, rng)
+        taps = draw_channels(cfg, active, rng)
+        bits = draw_data(cfg, active, rng)
+        frame = transmit_receive(cfg, build_pilot_book(cfg), bits, taps, rng,
                                  plan=slot_plan(cfg))
         assert np.all(frame.y_freq == 0)
 
     def test_unit_tap_identity_channel(self):
         cfg = toy_cfg(k2=1, snr_db=np.inf)
         rng = trial_rng(cfg, 0)
-        act = draw_activity(cfg, rng)
-        u = act.active[0]
-        ch = draw_channels(cfg, act, rng)
-        h = np.zeros_like(ch.compound)
-        h[u * cfg.t_cp] = 1.0          # single tap, delay 0, gain 1
-        ch = type(ch)(compound=h, u_max=cfg.u_max, t_cp=cfg.t_cp)
-        data = draw_data(cfg, act, rng)
+        active = draw_activity(cfg, rng)
+        u = active[0]
+        taps = np.zeros_like(draw_channels(cfg, active, rng))
+        taps[u, 0] = 1.0               # single tap, delay 0, gain 1
+        bits = draw_data(cfg, active, rng)
         pilots = build_pilot_book(cfg)
         plan = slot_plan(cfg)
-        frame = transmit_receive(cfg, pilots, data, ch, rng, plan=plan)
+        frame = transmit_receive(cfg, pilots, bits, taps, rng, plan=plan)
         x_freq = np.zeros(cfg.n, dtype=complex)
-        x_freq[plan.user_subcarriers(u)] = np.sqrt(1 - cfg.alpha) * data.symbols[u]
+        x_freq[plan[u]] = np.sqrt(1 - cfg.alpha) * bits_to_symbols(bits[u], cfg.modulation)
         assert np.allclose(frame.y_freq, pilot_spectrum(pilots, u) + x_freq, atol=1e-12)
 
     def test_matches_time_domain_oracle(self):
         # oracle: per-user dense circulant convolution in time, then unitary FFT
         cfg = toy_cfg(snr_db=np.inf)
         rng = trial_rng(cfg, 1)
-        act = draw_activity(cfg, rng)
-        ch = draw_channels(cfg, act, rng)
-        data = draw_data(cfg, act, rng)
+        active = draw_activity(cfg, rng)
+        taps = draw_channels(cfg, active, rng)
+        bits = draw_data(cfg, active, rng)
         pilots = build_pilot_book(cfg)
         plan = slot_plan(cfg)
-        frame = transmit_receive(cfg, pilots, data, ch, rng, plan=plan)
+        frame = transmit_receive(cfg, pilots, bits, taps, rng, plan=plan)
 
         y_time = np.zeros(cfg.n, dtype=complex)
-        for u in act.active:
+        for u in active:
             h_pad = np.zeros(cfg.n, dtype=complex)
-            h_pad[:cfg.t_cp] = ch.per_user(u)
+            h_pad[:cfg.t_cp] = taps[u]
             x_freq = np.zeros(cfg.n, dtype=complex)
-            x_freq[plan.user_subcarriers(u)] = np.sqrt(1 - cfg.alpha) * data.symbols[u]
+            x_freq[plan[u]] = np.sqrt(1 - cfg.alpha) * bits_to_symbols(bits[u], cfg.modulation)
             tx_time = np.fft.ifft(pilot_spectrum(pilots, u) + x_freq, norm="ortho")
             y_time += dense_circulant(h_pad) @ tx_time
         oracle = np.fft.fft(y_time, norm="ortho")
@@ -245,16 +242,14 @@ class TestTransmitReceive:
         slot_power = []
         for t in range(64):
             rng = trial_rng(cfg, t)
-            act = draw_activity(cfg, rng)
-            u = act.active[0]
-            h = np.zeros(cfg.u_max * cfg.t_cp, dtype=complex)
-            h[u * cfg.t_cp] = 1.0
-            from csra.model import ChannelProfile
-            ch = ChannelProfile(compound=h, u_max=cfg.u_max, t_cp=cfg.t_cp)
-            data = draw_data(cfg, act, rng)
-            frame = transmit_receive(cfg, pilots, data, ch, rng, plan=plan)
+            active = draw_activity(cfg, rng)
+            u = active[0]
+            taps = np.zeros((cfg.u_max, cfg.t_cp), dtype=complex)
+            taps[u, 0] = 1.0
+            bits = draw_data(cfg, active, rng)
+            frame = transmit_receive(cfg, pilots, bits, taps, rng, plan=plan)
             assert np.sum(np.abs(frame.y_freq[win]) ** 2) / cfg.n == pytest.approx(0.3, abs=1e-12)
-            slot_power.extend(np.abs(frame.y_freq[plan.user_subcarriers(u)]) ** 2)
+            slot_power.extend(np.abs(frame.y_freq[plan[u]]) ** 2)
         assert np.mean(slot_power) == pytest.approx(0.7, rel=0.02)
 
     @pytest.mark.parametrize("overrides", [
@@ -272,16 +267,17 @@ class TestTransmitReceive:
         plan = slot_plan(cfg)
         for t in range(4):
             rng = trial_rng(cfg, t)
-            act = draw_activity(cfg, rng)
-            ch = draw_channels(cfg, act, rng)
-            data = draw_data(cfg, act, rng)
+            active = draw_activity(cfg, rng)
+            taps = draw_channels(cfg, active, rng)
+            bits = draw_data(cfg, active, rng)
             noise_rng = copy.deepcopy(rng)
-            frame = transmit_receive(cfg, pilots, data, ch, rng, plan=plan)
+            frame = transmit_receive(cfg, pilots, bits, taps, rng, plan=plan)
             y_clean = np.zeros(cfg.n, dtype=complex)
-            for u in act.active:
+            for u in active:
                 x_freq = np.zeros(cfg.n, dtype=complex)
-                x_freq[plan.user_subcarriers(u)] = np.sqrt(1.0 - cfg.alpha) * data.symbols[u]
-                gains = channel_gains(ch.per_user(u), np.arange(cfg.n), cfg.n)
+                x_freq[plan[u]] = (np.sqrt(1.0 - cfg.alpha)
+                                   * bits_to_symbols(bits[u], cfg.modulation))
+                gains = channel_gains(taps[u], np.arange(cfg.n), cfg.n)
                 y_clean += gains * (pilot_spectrum(pilots, u) + x_freq)
             noise = np.sqrt(cfg.sigma2 / 2.0) * (noise_rng.standard_normal(cfg.n)
                                                  + 1j * noise_rng.standard_normal(cfg.n))
@@ -294,10 +290,10 @@ class TestTransmitReceive:
         cfg = toy_cfg()
         def frame():
             rng = trial_rng(cfg, 3)
-            act = draw_activity(cfg, rng)
-            ch = draw_channels(cfg, act, rng)
-            data = draw_data(cfg, act, rng)
-            return transmit_receive(cfg, build_pilot_book(cfg), data, ch, rng,
+            active = draw_activity(cfg, rng)
+            taps = draw_channels(cfg, active, rng)
+            bits = draw_data(cfg, active, rng)
+            return transmit_receive(cfg, build_pilot_book(cfg), bits, taps, rng,
                                     plan=slot_plan(cfg))
         a, b = frame(), frame()
         assert np.array_equal(a.y_freq, b.y_freq)

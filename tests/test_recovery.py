@@ -23,10 +23,9 @@ def toy_cfg(**kw):
 
 def toy_instance(cfg, trial):
     rng = trial_rng(cfg, trial)
-    act = draw_activity(cfg, rng)
-    ch = draw_channels(cfg, act, rng)
+    h = draw_channels(cfg, draw_activity(cfg, rng), rng).reshape(-1)
     op = build_operator(cfg)
-    return op, ch.compound, op.apply(ch.compound)
+    return op, h, op.apply(h)
 
 
 def bpdn_reference_instance():
@@ -188,6 +187,23 @@ def test_cosamp_matches_two_solve_reference(problem):
     assert np.array_equal(np.flatnonzero(rec.h_hat), np.flatnonzero(h_ref))
     assert (rec.iterations, rec.converged) == (it_ref, conv_ref)
     assert np.linalg.norm(rec.h_hat - h_ref) <= 1e-10 * max(np.linalg.norm(h_ref), 1e-300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cosamp_problems())
+def test_cosamp_fallback_fits_match_two_solve_reference(problem):
+    """With every Cholesky refused, both fits take the SVD fallback on the
+    gather cosamp already holds, and still follow the reference loop."""
+    op, y, k = problem
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recovery, "gram_solve", lambda gram, rhs: None)
+        rec = cosamp(op, y, k)
+    h_ref, it_ref, conv_ref = cosamp_reference(op, y, k)
+    assert np.array_equal(np.flatnonzero(rec.h_hat), np.flatnonzero(h_ref))
+    assert (rec.iterations, rec.converged) == (it_ref, conv_ref)
+    energies = np.sum(np.abs(h_ref.reshape(op.u_max, op.t_cp)) ** 2, axis=1)
+    assert (np.linalg.norm(rec.user_energies - energies)
+            <= 1e-10 * max(np.linalg.norm(energies), 1e-300))
 
 
 @settings(max_examples=80, deadline=None)
